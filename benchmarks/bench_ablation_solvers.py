@@ -9,9 +9,9 @@ Two ablations of the library's own design decisions (not paper results):
   registrations).  All must return the same optimum; HiGHS is expected to
   be the fastest, which is why it is the default backend.
 * **Continuous method**: the series-parallel equivalent-load algorithm vs
-  the general convex program on the same SP instances.  Both must return
-  the same optimum; the closed form is expected to be orders of magnitude
-  faster, which is why the dispatcher prefers it.
+  the general convex program (``convex-sparse``) on the same SP instances.
+  Both must return the same optimum; the closed form is expected to be
+  orders of magnitude faster, which is why the dispatcher prefers it.
 """
 
 import time
@@ -20,8 +20,8 @@ from conftest import run_once
 
 from repro.core.models import ContinuousModel, VddHoppingModel
 from repro.core.problem import MinEnergyProblem
-from repro.continuous.general import solve_general_convex
 from repro.continuous.series_parallel import solve_series_parallel
+from repro.continuous.sparse import solve_general_convex_sparse
 from repro.graphs import generators
 from repro.graphs.analysis import longest_path_length
 from repro.modeling import BACKENDS
@@ -66,7 +66,7 @@ def _ablation_sp_vs_convex(sizes=(8, 16, 32), seed=22) -> Table:
         sp = solve_series_parallel(problem)
         sp_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        convex = solve_general_convex(problem)
+        convex = solve_general_convex_sparse(problem)
         convex_seconds = time.perf_counter() - start
         diff = abs(sp.energy - convex.energy) / convex.energy
         table.add_row(n, sp.energy, convex.energy, diff, sp_seconds, convex_seconds)

@@ -204,6 +204,40 @@ def _result_from_envelope(item: _WorkItem, envelope: dict,
     )
 
 
+def _preresolve(items: list[_WorkItem], cache: "ResultCache | None"
+                ) -> tuple[dict[int, BatchResult], list[_WorkItem], dict[int, str]]:
+    """Answer cache hits in this process, before anything reaches a pool.
+
+    Returns the hit rows by item index (each timed by its own lookup), the
+    items still to solve, and the cache key of every item that has one.
+    """
+    if cache is None:
+        return {}, list(items), {}
+    from repro.solve import cache_key_for
+
+    hits: dict[int, BatchResult] = {}
+    pending: list[_WorkItem] = []
+    keys: dict[int, str] = {}
+    for item in items:
+        lookup_start = time.perf_counter()
+        try:
+            key = cache_key_for(item.problem, item.method,
+                                options=item.options, exact=item.exact)
+        except Exception:
+            # dispatch/validation errors must surface as per-instance
+            # failures, not crash the pre-pass: solve it "for real"
+            pending.append(item)
+            continue
+        keys[item.index] = key
+        envelope = cache.get(key)
+        if envelope is None:
+            pending.append(item)
+        else:
+            hits[item.index] = _result_from_envelope(
+                item, envelope, time.perf_counter() - lookup_start)
+    return hits, pending, keys
+
+
 def _interrupted_result(item: _WorkItem, error_type: str, message: str) -> BatchResult:
     metadata: dict[str, Any] = {"cache_hit": False}
     if item.seed is not None:
@@ -290,31 +324,9 @@ def solve_many(problems: Sequence[MinEnergyProblem] | Iterable[MinEnergyProblem]
     ]
 
     results: list[BatchResult | None] = [None] * len(items)
-
-    # --- cache pre-resolution (parent process; hits never reach the pool) --
-    pending: list[_WorkItem] = items
-    keys: dict[int, str] = {}
-    if cache is not None:
-        from repro.solve import cache_key_for
-
-        pending = []
-        for item in items:
-            lookup_start = time.perf_counter()
-            try:
-                key = cache_key_for(item.problem, method,
-                                    options=merged, exact=exact)
-            except Exception:
-                # dispatch/validation errors must surface as per-instance
-                # failures, not crash the pre-pass: solve it "for real"
-                pending.append(item)
-                continue
-            keys[item.index] = key
-            envelope = cache.get(key)
-            if envelope is not None:
-                results[item.index] = _result_from_envelope(
-                    item, envelope, time.perf_counter() - lookup_start)
-            else:
-                pending.append(item)
+    hits, pending, keys = _preresolve(items, cache)
+    for index, hit in hits.items():
+        results[index] = hit
 
     def finish(item_result: tuple[BatchResult, dict | None]) -> None:
         result, envelope = item_result

@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_parser.add_argument("--exact", action="store_true",
                               help="force exact resolution for the NP-complete models")
     solve_parser.add_argument("--method", default="",
-                              help="registered solver method (e.g. gp-slsqp, lp, "
+                              help="registered solver method (e.g. convex-sparse, lp, "
                                    "heuristic); default: the model's default backend")
     solve_parser.add_argument("--backend", default="",
                               help="modeling-layer LP/convex backend for methods "

@@ -8,9 +8,9 @@ The paper's results implemented here:
 * **Theorem 2** — polynomial algorithms for trees and series-parallel
   graphs via equivalent-load composition
   (:mod:`repro.continuous.series_parallel`);
-* the general case — ``MinEnergy(G, D)`` is a geometric/convex program;
-  :mod:`repro.continuous.general` solves it numerically (SLSQP over
-  durations and completion times);
+* the general case — ``MinEnergy(G, D)`` is a convex program over
+  durations and completion times; :mod:`repro.continuous.sparse` solves
+  it with a sparse primal-dual interior point;
 * lower bounds used by every other model's evaluation
   (:mod:`repro.continuous.bounds`).
 
@@ -30,7 +30,7 @@ from repro.continuous.series_parallel import (
     sp_equivalent_load,
 )
 from repro.continuous.tree import solve_tree, is_tree
-from repro.continuous.general import solve_general_convex
+from repro.continuous.sparse import solve_general_convex_sparse
 from repro.continuous.bounds import (
     continuous_lower_bound,
     load_lower_bound,
@@ -49,7 +49,7 @@ __all__ = [
     "solve_series_parallel",
     "solve_tree",
     "is_tree",
-    "solve_general_convex",
+    "solve_general_convex_sparse",
     "continuous_lower_bound",
     "load_lower_bound",
     "critical_path_lower_bound",

@@ -7,11 +7,9 @@
 2. in/out-trees and series-parallel graphs — the polynomial equivalent-load
    algorithm (Theorem 2), provided the resulting speeds respect a finite
    ``s_max``;
-3. everything else (or capped instances the closed forms cannot handle) —
-   the general convex program: the dense SLSQP pipeline up to
-   ``SPARSE_DISPATCH_THRESHOLD`` tasks, the sparse interior-point backend
-   (``convex-sparse``) beyond it, so general DAGs no longer hit a
-   task-count cap on the automatic path.
+3. everything else (or capped trees and series-parallel graphs the
+   Theorem-2 passes reject) — the general convex program, solved by the
+   sparse interior-point backend (``convex-sparse``) at any task count.
 
 The chosen method is recorded in the returned solution's ``solver`` field so
 that experiments can report which path was taken.
@@ -29,19 +27,12 @@ from repro.continuous.closed_forms import (
     solve_join,
     solve_single_task,
 )
-from repro.continuous.general import solve_general_convex
 from repro.continuous.sparse import solve_general_convex_sparse
 from repro.continuous.series_parallel import solve_series_parallel
 from repro.continuous.tree import is_tree, solve_tree
 from repro.graphs.sp_decomposition import NotSeriesParallelError
 from repro.modeling import BACKENDS
 from repro.utils.errors import InvalidGraphError, InvalidModelError, SolverError
-
-#: General DAGs above this task count are dispatched to the sparse
-#: interior-point backend instead of the dense SLSQP pipeline on the
-#: automatic path (the dense stages are O(n³)/iteration and already ~50x
-#: slower by n=40; the sparse solver has no cap of its own).
-SPARSE_DISPATCH_THRESHOLD = 64
 
 
 def solve_continuous(problem: MinEnergyProblem, *, force_method: str | None = None) -> Solution:
@@ -53,7 +44,7 @@ def solve_continuous(problem: MinEnergyProblem, *, force_method: str | None = No
         The instance; its model must be a :class:`ContinuousModel`.
     force_method:
         Override the dispatch: one of ``"closed-form"``, ``"tree"``,
-        ``"series-parallel"``, ``"convex"``, ``"convex-sparse"`` or
+        ``"series-parallel"``, ``"convex-sparse"`` (alias ``"convex"``) or
         ``None`` (automatic).
 
     Raises
@@ -69,9 +60,7 @@ def solve_continuous(problem: MinEnergyProblem, *, force_method: str | None = No
         )
     problem.ensure_feasible()
 
-    if force_method == "convex":
-        return solve_general_convex(problem)
-    if force_method == "convex-sparse":
+    if force_method in ("convex", "convex-sparse"):
         return solve_general_convex_sparse(problem)
     if force_method == "tree":
         return solve_tree(problem)
@@ -101,11 +90,8 @@ def solve_continuous(problem: MinEnergyProblem, *, force_method: str | None = No
     except (SolverError, NotSeriesParallelError):
         pass
 
-    # 3. general convex program: dense pipeline while it is competitive,
-    # sparse interior point beyond (no task-count cap)
-    if problem.graph.n_tasks > SPARSE_DISPATCH_THRESHOLD:
-        return solve_general_convex_sparse(problem)
-    return solve_general_convex(problem)
+    # 3. general convex program (sparse interior point, no task-count cap)
+    return solve_general_convex_sparse(problem)
 
 
 # --------------------------------------------------------------------------- #
@@ -132,20 +118,7 @@ REGISTRY.register(
 )(lambda problem: solve_continuous(problem, force_method="series-parallel"))
 
 REGISTRY.register(
-    "continuous", "gp-slsqp", aliases=("convex",),
-    options=(
-        OptionSpec("max_iterations", (int,), default=800,
-                   doc="SLSQP iteration cap"),
-        OptionSpec("tolerance", (int, float), default=1e-12,
-                   doc="relative objective tolerance"),
-        OptionSpec("max_dense_tasks", (int,), default=2000,
-                   doc="hard task-count ceiling of the dense stages"),
-    ),
-    doc="General convex program (log-space GP stage + SLSQP polish).",
-)(solve_general_convex)
-
-REGISTRY.register(
-    "continuous", "convex-sparse", aliases=("sparse", "ipm"),
+    "continuous", "convex-sparse", aliases=("convex", "sparse", "ipm"),
     options=(
         OptionSpec("max_iterations", (int,), default=200,
                    doc="interior-point iteration cap (one sparse "

@@ -1,15 +1,15 @@
-"""Sparse large-n Continuous solver for general DAGs.
+"""Continuous solver for general DAGs: the convex program, solved sparsely.
 
-The dense :func:`repro.continuous.general.solve_general_convex` pipeline
-assembles an ``(|E| + n) x 2n`` constraint matrix and lets SLSQP factorise
-it densely — O(n³) per iteration, gigabytes of memory, and a hard
-``max_dense_tasks`` ceiling.  This module is the sparse replacement that
-takes general DAGs to 10,000 tasks:
+For a general DAG ``MinEnergy(G, D)`` is a convex program over task
+durations ``d`` and completion times ``t``: minimise
+``sum_i w_i**alpha / d_i**(alpha-1)`` subject to the linear precedence,
+start-time, deadline and speed-cap rows.  This module solves it at any
+size (10,000-task general DAGs in seconds):
 
-* the normalised convex program is *declared* through
-  :mod:`repro.modeling` — one ``d`` block, one ``t`` block, the shared
-  precedence polytope — and materialises to one CSR system (no dense row
-  buffers at any point);
+* the normalised program (deadline -> 1, mean work -> 1) is *declared*
+  through :mod:`repro.modeling` — one ``d`` block, one ``t`` block, the
+  shared precedence polytope — and materialises to one CSR system (no
+  dense row buffers at any point);
 * transitively redundant precedence rows are pruned first with a
   vectorised two-hop bitset filter (an Erdős-layered 2,000-task DAG keeps
   ~4% of its 300k edges — every dropped row is implied by a longer path,
@@ -20,27 +20,26 @@ takes general DAGs to 10,000 tasks:
   critical-path polytope of the full DAG;
 * the convex program itself is handed to a backend registered on
   :data:`repro.modeling.BACKENDS` — by default ``mehrotra-ipm``, the
-  primal-dual Mehrotra predictor-corrector interior point (formerly
-  private to this module, now :mod:`repro.modeling.backends.mehrotra`)
-  whose KKT systems are the sparse 2n x 2n matrices
-  ``H + Gᵀ diag(λ/s) G`` (same sparsity as the DAG), factorised with
-  SuperLU — ~25-60 factorisations regardless of size, each O(nnz) for
-  these structures.
+  primal-dual Mehrotra predictor-corrector interior point
+  (:mod:`repro.modeling.backends.mehrotra`) whose KKT systems are the
+  sparse 2n x 2n matrices ``H + Gᵀ diag(λ/s) G`` (same sparsity as the
+  DAG), factorised with SuperLU — ~25-60 factorisations regardless of
+  size, each O(nnz) for these structures.
 
 The entry point :func:`solve_general_convex_sparse` is registered as the
-``convex-sparse`` backend of the Continuous model and is what
-``solve_continuous`` dispatches to for general DAGs above the dense
-pipeline's comfort zone.  (SciPy's own sparse interior point,
+``convex-sparse`` backend (alias ``convex``) of the Continuous model and
+is where ``solve_continuous`` sends every instance the closed forms and
+the Theorem-2 passes do not settle.  (SciPy's own sparse interior point,
 ``minimize(method="trust-constr")`` over the same sparse Jacobian/Hessian,
 was benchmarked first: its barrier loop re-centres away from the active
 deadline face and needs ~0.3 s/iteration at n=500 — the specialised
 iteration here converges in a fraction of the iterations at a fraction of
-the per-iteration cost, which is what the 10k acceptance target needs.)
+the per-iteration cost.)
 
-Every returned point is feasibility-repaired exactly like the dense
-pipeline (scale repair, feasible blend, never worse than the warm start),
-so callers get a valid solution even when the iteration is stopped early
-by ``max_iterations``.
+Every returned point is feasibility-repaired (cut to the deadline, and
+never worse than the warm start), so callers get a valid solution even
+when the iteration stops early at ``max_iterations`` or on a KKT factor
+SuperLU cannot handle.
 """
 
 from __future__ import annotations
@@ -58,11 +57,20 @@ from repro.core.solution import (
     asap_times,
     compute_makespan,
     make_solution,
+    tail_times,
 )
 from repro.graphs.analysis import longest_path_length
 from repro.graphs.taskgraph import GraphIndex, Task, TaskGraph
 from repro.modeling import BACKENDS, ConvexModel, declare_precedence
 from repro.utils.errors import SolverError
+
+#: Normalised slack (1 minus the all-out makespan over the deadline) below
+#: which the interior is too thin to iterate in.  On random zero-slack
+#: DAGs, relaxing the cap by 2x this keeps every answer a KKT point from
+#: 1e-7 to 3e-7; at 3e-8 SuperLU reports a singular KKT factor at the
+#: first iteration, and from 1e-6 the deadline fit visibly moves the
+#: answer off the optimum.
+_MIN_SLACK_ROOM = 1e-7
 
 
 def prune_redundant_edges(idx: GraphIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -206,13 +214,12 @@ def _interior_start(idx: GraphIndex, d_feas: np.ndarray, d_lower: np.ndarray
     duration off the cap by a depth-scaled epsilon, and spreads completion
     times level by level into the remaining slack so every precedence and
     start-time row holds strictly.  Returns ``None`` when the instance has
-    (numerically) no interior — the deadline then equals the fastest
-    makespan and the caller returns the all-out point directly.
+    (numerically) no interior: the deadline equals the fastest makespan.
     """
     n = idx.n_tasks
     ms_floor = float(asap_times(idx, d_lower)[1].max())
     slack_room = 1.0 - ms_floor
-    if slack_room < 1e-9:
+    if slack_room < _MIN_SLACK_ROOM:
         return None
     ms_feas = float(asap_times(idx, d_feas)[1].max())
     target = 1.0 - 0.25 * slack_room
@@ -231,6 +238,31 @@ def _interior_start(idx: GraphIndex, d_feas: np.ndarray, d_lower: np.ndarray
     return np.concatenate([d0, t0])
 
 
+def _fit_deadline(idx: GraphIndex, d: np.ndarray, d_lower: np.ndarray
+                  ) -> np.ndarray:
+    """Shorten durations, never below ``d_lower``, to meet the deadline 1.
+
+    One pass in topological order: every task starts when its
+    predecessors finish and keeps its duration unless that would leave
+    too little time for its successors at the speed cap; then it is cut
+    to that latest finish.  The cut never goes below ``d_lower`` while the
+    all-out schedule meets the deadline, and only the tasks that overshoot
+    lose time (a uniform rescale would push cap-bound tasks past the cap).
+    """
+    latest = (1.0 - tail_times(idx, d_lower)).tolist()
+    lower = d_lower.tolist()
+    out = d.tolist()
+    pred_ptr = idx.pred_ptr.tolist()
+    pred_idx = idx.pred_idx.tolist()
+    finish = [0.0] * idx.n_tasks
+    for u in idx.topo_order.tolist():
+        start = max((finish[p] for p in pred_idx[pred_ptr[u]:pred_ptr[u + 1]]),
+                    default=0.0)
+        out[u] = max(lower[u], min(out[u], latest[u] - start))
+        finish[u] = start + out[u]
+    return np.asarray(out)
+
+
 def solve_general_convex_sparse(problem: MinEnergyProblem, *,
                                 max_iterations: int = 200,
                                 tolerance: float = 1e-9,
@@ -239,10 +271,9 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
                                 backend: str = "mehrotra-ipm") -> Solution:
     """Sparse interior-point Continuous solver for arbitrary DAGs.
 
-    The large-n counterpart of :func:`repro.continuous.general.
-    solve_general_convex`: same convex program, but every matrix it touches
-    is ``scipy.sparse`` and the iteration count is size-independent, so
-    10,000-task general DAGs solve in seconds without any task-count cap.
+    Every matrix it touches is ``scipy.sparse`` and the iteration count is
+    size-independent, so 10,000-task general DAGs solve in seconds without
+    any task-count cap.
 
     Parameters
     ----------
@@ -297,7 +328,7 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
         return make_solution(problem, SpeedAssignment({idx.names[0]: speed}),
                              solver="continuous-convex-sparse", optimal=True)
 
-    # ---- normalisation: deadline -> 1, mean work -> 1 (as the dense path)
+    # ---- normalisation: deadline -> 1, mean work -> 1
     work_scale = float(np.mean(works_raw))
     works = works_raw / work_scale
     s_max_n = s_max * deadline / work_scale if math.isfinite(s_max) else math.inf
@@ -333,9 +364,18 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
                 stage = "forest-warm-start"
 
     x0 = _interior_start(idx, warm_d, d_lower)
+    ipm_lower = d_lower
     if x0 is None:
-        # no interior: the deadline equals the fastest possible makespan,
-        # so the all-out point is the unique feasible (hence optimal) one
+        # (near-)zero slack: the cap pins every critical task and leaves
+        # the program no interior to iterate in, yet the tasks off the
+        # critical paths can still slow down.  Iterate with the cap relaxed
+        # by a hair; the clamp to d_lower and the deadline fit below
+        # restore both, costing those few tasks that hair of time.
+        ipm_lower = d_lower * (1.0 - 2.0 * _MIN_SLACK_ROOM)
+        x0 = _interior_start(idx, warm_d, ipm_lower)
+    if x0 is None:
+        # the deadline sits below the all-out makespan, within the
+        # feasibility tolerance: only the all-out point is left
         durations = d_lower * deadline
         speeds = {name: works_raw[i] / durations[i]
                   for i, name in enumerate(idx.names)}
@@ -347,7 +387,7 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
 
     esrc, edst = (prune_redundant_edges(idx) if prune
                   else (idx.edge_src, idx.edge_dst))
-    model = declare_continuous_program(n, esrc, edst, d_lower,
+    model = declare_continuous_program(n, esrc, edst, ipm_lower,
                                        works=works, alpha=alpha)
     # pass only the options the chosen backend declares (cvxpy-family
     # backends have no iteration/tolerance knobs)
@@ -361,12 +401,11 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
     diagnostics = result.metadata
 
     best_d = np.clip(x[:n], d_lower, 1.0)
-    overshoot = makespan_of(best_d)
     converged = bool(diagnostics.get("converged", True))
-    ipm_stage = "ipm" if converged else "ipm-iteration-cap"
-    if overshoot > 1.0:
-        best_d = np.maximum(best_d / overshoot, d_lower)
-        ipm_stage += "-scale-repair"
+    ipm_stage = "ipm" if converged else "ipm-stopped"
+    if makespan_of(best_d) > 1.0:
+        best_d = _fit_deadline(idx, best_d, d_lower)
+        ipm_stage += "-deadline-fit"
     if makespan_of(best_d) <= 1.0 + 1e-9 and objective(best_d) <= objective(warm_d):
         stage = ipm_stage
     else:

@@ -163,13 +163,17 @@ class _ModeBasedModel(EnergyModel):
                    for m in self.modes)
 
     def round_up(self, speed: float) -> float:
-        """Smallest mode ``>= speed``.
+        """Smallest mode ``>= speed * (1 - DEFAULT_REL_TOL)``.
+
+        The relative tolerance absorbs round-off in a computed speed: a
+        speed a hair above a mode (the top one included) rounds to that
+        mode instead of past it.
 
         Raises
         ------
         InvalidModelError
-            If ``speed`` exceeds the largest mode (no admissible speed can
-            sustain the requested rate).
+            If ``speed`` exceeds the largest mode by more than the
+            tolerance (no admissible speed can sustain the requested rate).
         """
         if speed <= self.modes[0]:
             return self.modes[0]

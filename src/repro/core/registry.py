@@ -10,7 +10,7 @@ cache on or to queue behind a service.
 
 :class:`SolverRegistry` fixes both: every solver package registers named
 *backends* for its model, each with a declared, validated option schema.
-Dispatch becomes ``solve(problem, method="gp-slsqp", options={...})``:
+Dispatch becomes ``solve(problem, method="convex-sparse", options={...})``:
 
 * an unknown method raises :class:`~repro.utils.errors.UnknownSolverError`
   listing the registered methods;

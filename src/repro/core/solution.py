@@ -236,6 +236,30 @@ def asap_times(idx: GraphIndex, durations: np.ndarray) -> tuple[np.ndarray, np.n
     return np.asarray(s_list), np.asarray(f_list)
 
 
+def tail_times(idx: GraphIndex, durations: np.ndarray) -> np.ndarray:
+    """Longest duration path from each task to a sink, *excluding* itself.
+
+    The backward mirror of the ASAP start times: ``start[i] + durations[i]
+    + tail[i]`` is the longest schedule path through task ``i``, so the
+    makespan after changing only ``durations[i]`` is
+    ``max(old makespan, start[i] + new_duration + tail[i])`` — an O(1)
+    feasibility probe.  One flat reverse pass over the CSR arrays.
+    """
+    n = idx.n_tasks
+    succ_ptr = idx.succ_ptr.tolist()
+    succ_idx = idx.succ_idx.tolist()
+    dur = durations.tolist()
+    tail = [0.0] * n
+    for u in reversed(idx.topo_order.tolist()):
+        best = 0.0
+        for v in succ_idx[succ_ptr[u]:succ_ptr[u + 1]]:
+            candidate = dur[v] + tail[v]
+            if candidate > best:
+                best = candidate
+        tail[u] = best
+    return np.asarray(tail)
+
+
 def compute_makespan(graph: TaskGraph, durations: Mapping[str, float] | np.ndarray) -> float:
     """Makespan of the ASAP schedule without materialising per-task dicts.
 

@@ -28,7 +28,13 @@ import numpy as np
 
 from repro.core.models import ContinuousModel, DiscreteModel, IncrementalModel
 from repro.core.problem import MinEnergyProblem
-from repro.core.solution import SpeedAssignment, Solution, compute_makespan, make_solution
+from repro.core.solution import (
+    SpeedAssignment,
+    Solution,
+    compute_makespan,
+    make_solution,
+    tail_times,
+)
 from repro.utils.errors import InvalidModelError
 from repro.utils.numerics import leq_with_tol
 
@@ -69,30 +75,6 @@ def solve_discrete_round_up(problem: MinEnergyProblem) -> Solution:
     )
 
 
-def _tail_times(idx, durations: np.ndarray) -> np.ndarray:
-    """Longest duration path from each task to a sink, *excluding* itself.
-
-    The backward mirror of the ASAP start times: ``start[i] + durations[i]
-    + tail[i]`` is the longest schedule path through task ``i``, so the
-    makespan after changing only ``durations[i]`` is
-    ``max(old makespan, start[i] + new_duration + tail[i])`` — an O(1)
-    feasibility probe.  One flat reverse pass over the CSR arrays.
-    """
-    n = idx.n_tasks
-    succ_ptr = idx.succ_ptr.tolist()
-    succ_idx = idx.succ_idx.tolist()
-    dur = durations.tolist()
-    tail = [0.0] * n
-    for u in reversed(idx.topo_order.tolist()):
-        best = 0.0
-        for v in succ_idx[succ_ptr[u]:succ_ptr[u + 1]]:
-            candidate = dur[v] + tail[v]
-            if candidate > best:
-                best = candidate
-        tail[u] = best
-    return np.asarray(tail)
-
-
 def _tail_update(idx, durations: np.ndarray, tail: np.ndarray,
                  changed: int, max_visits: int | None = None) -> bool:
     """Repair ``tail`` in place over the ancestor cone of ``changed``.
@@ -101,7 +83,7 @@ def _tail_update(idx, durations: np.ndarray, tail: np.ndarray,
     ancestors whose longest downstream path moves are visited, with the
     same early exit and the same optional visit budget.  Returns ``False``
     when the budget was exceeded (the caller must rebuild with
-    :func:`_tail_times`).
+    :func:`~repro.core.solution.tail_times`).
     """
     pred_ptr = idx.pred_ptr
     pred_idx = idx.pred_idx
@@ -216,7 +198,7 @@ def solve_discrete_greedy_reclaim(problem: MinEnergyProblem, *,
     durations = works / modes[-1]
     start, finish = asap_times(idx, durations)
     makespan = float(finish.max()) if n else 0.0
-    tail = _tail_times(idx, durations)
+    tail = tail_times(idx, durations)
     # beyond this cone size a full vectorised pass is cheaper than the
     # node-by-node walk
     budget = max(128, n // 16)
@@ -252,7 +234,7 @@ def solve_discrete_greedy_reclaim(problem: MinEnergyProblem, *,
             makespan = float(finish.max())
             full_rebuilds += 1
         if not _tail_update(idx, durations, tail, i, max_visits=budget):
-            tail = _tail_times(idx, durations)
+            tail = tail_times(idx, durations)
             full_rebuilds += 1
         if target > 0:
             saving = saving_of(i, target)

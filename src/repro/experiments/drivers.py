@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 from repro.baselines.naive import solve_no_reclaim, solve_uniform_scaling
 from repro.continuous.closed_forms import solve_fork
-from repro.continuous.general import solve_general_convex
 from repro.continuous.series_parallel import solve_series_parallel
 from repro.continuous.solve import solve_continuous
+from repro.continuous.sparse import solve_general_convex_sparse
 from repro.continuous.tree import solve_tree
 from repro.core.models import (
     ContinuousModel,
@@ -76,7 +76,7 @@ def experiment_e1_fork_closed_form(*, sizes: Sequence[int] = (2, 4, 8, 16, 32, 6
             problem = MinEnergyProblem(graph=graph, deadline=slack * min_makespan,
                                        model=ContinuousModel(s_max=s_max))
             closed = solve_fork(problem)
-            convex = solve_general_convex(problem)
+            convex = solve_general_convex_sparse(problem)
             check_solution(closed)
             check_solution(convex)
             saturated = math.isclose(max(closed.speeds().values()), s_max, rel_tol=1e-6)
@@ -111,7 +111,7 @@ def experiment_e2_tree_sp(*, sizes: Sequence[int] = (8, 16, 32, 64),
             problem = MinEnergyProblem(graph=graph, deadline=slack * min_makespan,
                                        model=ContinuousModel())
             poly = solve_tree(problem) if cls == "tree" else solve_series_parallel(problem)
-            convex = solve_general_convex(
+            convex = solve_general_convex_sparse(
                 problem.with_model(ContinuousModel(s_max=100.0 * spec_speed))
             )
             check_solution(poly)
@@ -478,30 +478,22 @@ def experiment_e10_scalability(*, sizes: Sequence[int] = (10, 20, 40, 80),
 # E10-SPARSE — sparse solver paths on large general DAGs
 # --------------------------------------------------------------------------- #
 def experiment_e10_sparse_scaling(*, sizes: Sequence[int] = (1000, 5000, 10_000),
-                                  small_sizes: Sequence[int] = (40, 80, 160),
                                   n_modes: int = 5, slack: float = 1.5,
                                   seed: int = 10) -> Table:
-    """Sparse vs dense solver paths on general (layered) DAGs.
+    """Sparse solver paths on large general (layered) DAGs.
 
     One row per size: the sparse interior-point Continuous solver
-    (``convex-sparse``) and the incremental discrete heuristic run at every
-    size; the dense ``gp-slsqp`` pipeline runs only at the ``small_sizes``
-    where its O(n³) stages are affordable, giving the head-to-head rows.
-    Expected shape: sparse beats dense at every overlapping size, and the
-    1k/5k/10k rows — beyond the dense pipeline's historical task cap —
-    complete in seconds.
+    (``convex-sparse``) and the incremental discrete heuristic.  Expected
+    shape: the 1k/5k/10k rows complete in seconds.
     """
-    from repro.continuous.sparse import solve_general_convex_sparse
-
     table = Table(
         columns=["n_tasks", "convex_sparse_seconds", "convex_sparse_energy",
-                 "gp_slsqp_seconds", "gp_slsqp_energy", "dense_over_sparse",
                  "discrete_heuristic_seconds", "discrete_winner", "greedy_moves"],
         title="E10-SPARSE - sparse solver paths on large general DAGs",
     )
     mode_sets = standard_mode_sets(1.0)
     rng = make_rng(seed)
-    for n in (*small_sizes, *sizes):
+    for n in sizes:
         spec = WorkloadSpec(graph_class="layered", n_tasks=n, n_processors=4,
                             slack=slack, seed=int(rng.integers(0, 2**31 - 1)))
         problem = make_workload(spec)
@@ -513,17 +505,6 @@ def experiment_e10_sparse_scaling(*, sizes: Sequence[int] = (1000, 5000, 10_000)
         sparse_seconds = time.perf_counter() - start
         check_solution(sparse_solution)
 
-        dense_seconds = None
-        dense_energy = None
-        ratio = None
-        if n in small_sizes:
-            start = time.perf_counter()
-            dense_solution = solve_general_convex(continuous_problem)
-            dense_seconds = time.perf_counter() - start
-            check_solution(dense_solution)
-            dense_energy = dense_solution.energy
-            ratio = dense_seconds / sparse_seconds
-
         start = time.perf_counter()
         discrete_solution = solve_discrete_best_heuristic(
             problem.with_model(models["discrete"]))
@@ -531,7 +512,6 @@ def experiment_e10_sparse_scaling(*, sizes: Sequence[int] = (1000, 5000, 10_000)
         check_solution(discrete_solution)
 
         table.add_row(n, sparse_seconds, sparse_solution.energy,
-                      dense_seconds, dense_energy, ratio,
                       discrete_seconds, discrete_solution.solver,
                       discrete_solution.metadata.get("moves_applied"))
     return table

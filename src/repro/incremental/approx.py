@@ -105,8 +105,8 @@ def solve_incremental_approx(problem: MinEnergyProblem, *, k: int = 1000) -> Sol
         essentially exactly, so the measured ratio is governed by the
         ``(1 + delta/s_min)**2`` term alone.
     """
-    from repro.continuous.general import solve_general_convex
     from repro.continuous.solve import solve_continuous
+    from repro.continuous.sparse import solve_general_convex_sparse
 
     model = problem.model
     if not isinstance(model, IncrementalModel):
@@ -123,7 +123,7 @@ def solve_incremental_approx(problem: MinEnergyProblem, *, k: int = 1000) -> Sol
     else:
         # honour the requested (lower) accuracy explicitly through the
         # numerical solver tolerance — this is what costs the (1+1/K)^2 term
-        continuous = solve_general_convex(relaxed, tolerance=1.0 / (k * k))
+        continuous = solve_general_convex_sparse(relaxed, tolerance=1.0 / (k * k))
     ideal = continuous.speeds()
 
     speeds: dict[str, float] = {}

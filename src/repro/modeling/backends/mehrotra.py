@@ -113,7 +113,12 @@ def _solve_mehrotra(mat: MaterializedConvex, options: Mapping[str, Any],
             lu = splu(kkt)
         except RuntimeError:
             kkt = kkt + sparse.identity(n_vars, format="csc") * (regularisation * 1e4)
-            lu = splu(kkt)
+            try:
+                lu = splu(kkt)
+            except RuntimeError:
+                # the weights span too many decades to factorise; x is still
+                # strictly primal-feasible, so hand it back unconverged
+                break
 
         # predictor: pure Newton step towards complementarity zero
         dx_aff = lu.solve(-grad)
@@ -136,7 +141,9 @@ def _solve_mehrotra(mat: MaterializedConvex, options: Mapping[str, Any],
         relative_move = (float(np.max(np.abs(dx[block]) / x[block]))
                          if obj.size else 0.0)
         if relative_move * step_p > _MAX_REL_STEP:
-            step_p = _MAX_REL_STEP / relative_move
+            # the dual residual depends on x: a full dual step after a
+            # clamped primal one overshoots and the iteration can cycle
+            step_p = step_d = min(_MAX_REL_STEP / relative_move, step_d)
         x = x + step_p * dx
         s = s + step_p * ds
         lam = lam + step_d * dlam

@@ -27,7 +27,7 @@ import uuid
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.batch.engine import BatchResult, _WorkItem, _result_from_envelope, _solve_one
+from repro.batch.engine import BatchResult, _preresolve, _solve_one, _WorkItem
 from repro.batch.shard import ShardSpec
 from repro.batch.sweep import plan_sweep, sweep_table
 from repro.batch.vectorized import VECTORIZE_MAX_TASKS, InstanceSpec, solve_batch
@@ -162,8 +162,6 @@ class SolverService:
                          shard: ShardSpec | None = None,
                          fingerprint: str = "",
                          manifest: dict[str, Any] | None = None) -> JobHandle:
-        if self._closed:
-            raise ShutdownError("SolverService is shut down")
         if seeds is not None and len(seeds) != len(problems):
             raise InvalidParameterError("seeds must align with problems")
         opts = dict(options or {})
@@ -178,46 +176,28 @@ class SolverService:
             for i, p in enumerate(problems)
         ]
 
-        preresolved: dict[int, Any] = {}
-        pending: list[_WorkItem] = []
-        keys: dict[int, str] = {}
-        if self.cache is not None:
-            from repro.solve import cache_key_for
-
-            for item in items:
-                try:
-                    key = cache_key_for(item.problem, method,
-                                        options=opts, exact=exact)
-                except Exception:
-                    pending.append(item)  # surface as a per-instance failure
-                    continue
-                keys[item.index] = key
-                envelope = self.cache.get(key)
-                if envelope is not None:
-                    preresolved[item.index] = _result_from_envelope(
-                        item, envelope, 0.0)
-                else:
-                    pending.append(item)
-        else:
-            pending = items
+        preresolved, pending, keys = _preresolve(items, self.cache)
 
         futures: list[Future] = []
         indices: list[int] = []
-        for item in pending:
-            future = self._pool.submit(_solve_one, item)
-            if self.cache is not None and item.index in keys:
-                future.add_done_callback(
-                    self._cache_writer(keys[item.index]))
-            futures.append(future)
-            indices.append(item.index)
-
-        handle = JobHandle(job_id, name=name, futures=futures,
-                           future_indices=indices, preresolved=preresolved,
-                           total=len(problems), coords=coords, params=params,
-                           instance_meta=[(p.name, p.n_tasks) for p in problems],
-                           shard=shard, fingerprint=fingerprint,
-                           manifest=manifest)
         with self._lock:
+            # shutdown() flips _closed under this lock before it shuts the
+            # pool down, so every submit below reaches a live pool
+            if self._closed:
+                raise ShutdownError("SolverService is shut down")
+            for item in pending:
+                future = self._pool.submit(_solve_one, item)
+                if item.index in keys:
+                    future.add_done_callback(
+                        self._cache_writer(keys[item.index]))
+                futures.append(future)
+                indices.append(item.index)
+            handle = JobHandle(
+                job_id, name=name, futures=futures, future_indices=indices,
+                preresolved=preresolved, total=len(problems), coords=coords,
+                params=params,
+                instance_meta=[(p.name, p.n_tasks) for p in problems],
+                shard=shard, fingerprint=fingerprint, manifest=manifest)
             self._jobs[job_id] = handle
         return handle
 
@@ -362,9 +342,9 @@ class SolverService:
     def shutdown(self, *, wait: bool = True, cancel_pending: bool = False) -> None:
         """Shut the pool down; optionally cancel not-yet-started instances."""
         with self._lock:
-            # submit() checks _closed under the same lock: without this a
-            # racing submit can observe open state and enqueue into a
-            # pool that is already tearing down
+            # _submit_problems checks _closed and submits under the same
+            # lock: a racing submit either lands before the pool shuts
+            # down or raises ShutdownError
             self._closed = True
             batcher, self._batcher = self._batcher, None
         if batcher is not None:

@@ -4,8 +4,8 @@
 solver backend and calls it with validated options:
 
 * :class:`ContinuousModel`   → methods ``auto`` (default), ``closed-form``,
-  ``tree``, ``series-parallel``, ``gp-slsqp`` (alias ``convex``),
-  ``convex-sparse`` (aliases ``sparse``, ``ipm``);
+  ``tree``, ``series-parallel``, ``convex-sparse`` (aliases ``convex``,
+  ``sparse``, ``ipm``);
 * :class:`VddHoppingModel`   → methods ``lp`` (default) and ``mixing``;
 * :class:`DiscreteModel`     → methods ``auto`` (default), ``exact``,
   ``heuristic``;

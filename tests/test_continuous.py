@@ -16,7 +16,7 @@ from repro.continuous import (
     solve_chain,
     solve_continuous,
     solve_fork,
-    solve_general_convex,
+    solve_general_convex_sparse,
     solve_join,
     solve_series_parallel,
     solve_single_task,
@@ -181,7 +181,7 @@ class TestSeriesParallelAndTree:
                              deadline=2.0 * longest_path_length(small_sp_graph),
                              model=ContinuousModel(s_max=100.0))
         sp = solve_series_parallel(p)
-        convex = solve_general_convex(p)
+        convex = solve_general_convex_sparse(p)
         assert sp.energy == pytest.approx(convex.energy, rel=1e-5)
 
     def test_sp_speed_cap_violation_raises(self):
@@ -254,33 +254,34 @@ class TestSeriesParallelAndTree:
 class TestConvexSolver:
     def test_matches_chain_closed_form(self, small_chain):
         p = _problem(small_chain, 2.0)
-        assert solve_general_convex(p).energy == pytest.approx(solve_chain(p).energy, rel=1e-6)
+        assert solve_general_convex_sparse(p).energy == \
+            pytest.approx(solve_chain(p).energy, rel=1e-6)
 
     def test_matches_fork_closed_form_saturated(self):
         g = generators.fork(3, source_work=2.0, works=[1.0, 2.0, 3.0])
         p = MinEnergyProblem(graph=g, deadline=5.5, model=ContinuousModel(s_max=1.0))
         closed = solve_fork(p)
-        convex = solve_general_convex(p)
+        convex = solve_general_convex_sparse(p)
         assert convex.energy == pytest.approx(closed.energy, rel=1e-5)
 
     def test_diamond_graph(self):
         g = generators.diamond(3, 3, seed=0)
         p = _problem(g, 1.8)
-        s = solve_general_convex(p)
+        s = solve_general_convex_sparse(p)
         check_solution(s)
         assert s.energy >= critical_path_lower_bound(p) - 1e-9
 
     def test_single_task_shortcut(self):
         g = TaskGraph(tasks=[("A", 2.0)])
         p = MinEnergyProblem(graph=g, deadline=4.0, model=ContinuousModel(s_max=1.0))
-        s = solve_general_convex(p)
+        s = solve_general_convex_sparse(p)
         assert s.speeds()["A"] == pytest.approx(0.5)
 
     def test_infeasible_detected(self, small_chain):
         p = MinEnergyProblem(graph=small_chain, deadline=1.0,
                              model=ContinuousModel(s_max=1.0))
         with pytest.raises(InfeasibleProblemError):
-            solve_general_convex(p)
+            solve_general_convex_sparse(p)
 
     @given(st.integers(min_value=2, max_value=16),
            st.floats(min_value=1.1, max_value=3.0),
@@ -289,7 +290,7 @@ class TestConvexSolver:
     def test_convex_between_bounds(self, n, slack, seed):
         g = generators.layered_dag(n, seed=seed)
         p = _problem(g, slack)
-        s = solve_general_convex(p)
+        s = solve_general_convex_sparse(p)
         check_solution(s)
         lower = max(load_lower_bound(p), critical_path_lower_bound(p))
         assert s.energy >= lower * (1 - 1e-6)
@@ -311,7 +312,7 @@ class TestDispatcherAndBounds:
     def test_dispatcher_uses_convex_for_diamond(self):
         g = generators.diamond(3, 3, seed=1)
         s = solve_continuous(_problem(g, 2.0))
-        assert s.solver == "continuous-convex"
+        assert s.solver == "continuous-convex-sparse"
 
     def test_dispatcher_falls_back_when_cap_violated(self):
         # SP algorithm would exceed s_max; dispatcher must fall back to convex
@@ -324,7 +325,8 @@ class TestDispatcherAndBounds:
 
     def test_dispatcher_force_method(self, small_fork):
         p = _problem(small_fork, 1.5)
-        assert solve_continuous(p, force_method="convex").solver == "continuous-convex"
+        assert solve_continuous(p, force_method="convex").solver == \
+            "continuous-convex-sparse"
         assert "closed-form" in solve_continuous(p, force_method="closed-form").solver \
             or "fork" in solve_continuous(p, force_method="closed-form").solver
         with pytest.raises(InvalidModelError):

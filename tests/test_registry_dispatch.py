@@ -52,7 +52,7 @@ class TestRegistryResolution:
 
     def test_solver_methods_from_problem(self):
         problem = _problem(ContinuousModel(s_max=1.0))
-        assert "gp-slsqp" in solver_methods(problem)
+        assert "convex-sparse" in solver_methods(problem)
 
     def test_unknown_model_raises(self):
         with pytest.raises(UnknownSolverError):
@@ -60,19 +60,24 @@ class TestRegistryResolution:
 
     def test_unknown_method_lists_alternatives(self):
         problem = _problem(ContinuousModel(s_max=1.0))
-        with pytest.raises(UnknownSolverError, match="gp-slsqp"):
+        with pytest.raises(UnknownSolverError, match="convex-sparse"):
             solve(problem, method="not-a-method")
+
+    def test_retired_dense_method_is_unknown(self):
+        problem = _problem(ContinuousModel(s_max=1.0))
+        with pytest.raises(UnknownSolverError, match="convex-sparse"):
+            solve(problem, method="gp-slsqp")
 
     def test_alias_resolves(self):
         ensure_backends_loaded()
-        assert REGISTRY.resolve("continuous", "convex").method == "gp-slsqp"
+        assert REGISTRY.resolve("continuous", "convex").method == "convex-sparse"
         assert REGISTRY.resolve("incremental", "approx").method == "theorem5"
 
     def test_describe_covers_every_backend(self):
         ensure_backends_loaded()
         entries = REGISTRY.describe()
         assert {(e["model"], e["method"]) for e in entries} >= {
-            ("continuous", "auto"), ("continuous", "gp-slsqp"),
+            ("continuous", "auto"), ("continuous", "convex-sparse"),
             ("vdd-hopping", "lp"), ("vdd-hopping", "mixing"),
             ("discrete", "auto"), ("discrete", "exact"), ("discrete", "heuristic"),
             ("incremental", "theorem5"), ("incremental", "exact"),
@@ -84,10 +89,10 @@ class TestDispatchPerModel:
     def test_continuous_named_methods(self):
         problem = _problem(ContinuousModel(s_max=1.0))
         auto = solve(problem)
-        convex = solve(problem, method="gp-slsqp")
+        convex = solve(problem, method="convex")
         for s in (auto, convex):
             check_solution(s)
-        assert convex.solver == "continuous-convex"
+        assert convex.solver == "continuous-convex-sparse"
         assert auto.energy == pytest.approx(convex.energy, rel=1e-4)
 
     def test_vdd_lp_backend_option(self):
@@ -120,7 +125,7 @@ class TestOptionValidation:
     def test_unknown_option_raises(self):
         problem = _problem(ContinuousModel(s_max=1.0))
         with pytest.raises(UnknownOptionError, match="max_iterations"):
-            solve(problem, method="gp-slsqp", options={"max_iter": 5})
+            solve(problem, method="convex-sparse", options={"max_iter": 5})
 
     def test_unknown_kwarg_raises_instead_of_being_swallowed(self):
         # pre-registry, a misspelled kwarg silently changed nothing
@@ -131,7 +136,8 @@ class TestOptionValidation:
     def test_wrong_type_raises(self):
         problem = _problem(ContinuousModel(s_max=1.0))
         with pytest.raises(InvalidOptionError, match="max_iterations"):
-            solve(problem, method="gp-slsqp", options={"max_iterations": "many"})
+            solve(problem, method="convex-sparse",
+                  options={"max_iterations": "many"})
 
     def test_bool_is_not_an_int(self):
         problem = _problem(DiscreteModel(modes=MODES), n=6)

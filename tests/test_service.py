@@ -21,6 +21,7 @@ from repro.core.models import ContinuousModel, DiscreteModel
 from repro.core.problem import MinEnergyProblem
 from repro.graphs import generators
 from repro.service import JobStatus, SolverService
+from repro.utils.errors import ShutdownError
 
 MODES = (0.4, 0.6, 0.8, 1.0)
 
@@ -103,6 +104,22 @@ class TestSubmission:
         with pytest.raises(RuntimeError):
             svc.submit([_problem()])
 
+    def test_shutdown_during_submit_raises_shutdown_error(self):
+        # the cache pre-pass runs before the pool sees any work: a shutdown
+        # landing inside it must surface typed, not as the executor's bare
+        # "cannot schedule new futures after shutdown"
+        cache = memory_cache()
+        svc = SolverService(workers=1, use_threads=True, cache=cache)
+        lookup = cache.get
+
+        def get_then_shut_down(key):
+            svc.shutdown()
+            return lookup(key)
+
+        cache.get = get_then_shut_down
+        with pytest.raises(ShutdownError):
+            svc.submit([_problem()])
+
 
 class TestAsyncCompletion:
     def test_await_handle_returns_results(self, service):
@@ -134,6 +151,7 @@ class TestServiceCache:
             assert second.status() is JobStatus.DONE
             results = second.results(timeout=0)
             assert all(r.cache_hit for r in results)
+            assert all(r.seconds > 0 for r in results)  # the measured lookup
             assert second.progress().cache_hits == 2
 
     def test_mixed_hit_miss_submission(self):

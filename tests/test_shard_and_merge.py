@@ -186,7 +186,7 @@ class TestFingerprint:
 
     def test_method_shapes_the_fingerprint(self):
         # shards solved with different methods must refuse to merge
-        assert plan_sweep(**GRID, method="gp-slsqp").fingerprint != \
+        assert plan_sweep(**GRID, method="convex-sparse").fingerprint != \
             plan_sweep(**GRID).fingerprint
 
     def test_int_and_float_axis_spellings_agree(self):
