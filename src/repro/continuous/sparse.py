@@ -21,10 +21,14 @@ size (10,000-task general DAGs in seconds):
 * the convex program itself is handed to a backend registered on
   :data:`repro.modeling.BACKENDS` — by default ``mehrotra-ipm``, the
   primal-dual Mehrotra predictor-corrector interior point
-  (:mod:`repro.modeling.backends.mehrotra`) whose KKT systems are the
-  sparse 2n x 2n matrices ``H + Gᵀ diag(λ/s) G`` (same sparsity as the
-  DAG), factorised with SuperLU — ~25-60 factorisations regardless of
-  size, each O(nnz) for these structures.
+  (:mod:`repro.modeling.backends.mehrotra`).  Every row of the program
+  touches at most one duration, so the duration block of its KKT
+  matrices ``H + Gᵀ diag(λ/s) G`` is diagonal: the backend eliminates it
+  and factorises with SuperLU only the n x n Schur complement on the
+  completion times (the DAG's sparsity plus each task's predecessors
+  joined; the duration of a task with more than 31 predecessors stays in
+  the factorised system, so a wide join does not make it dense) — ~25-60
+  factorisations regardless of size.
 
 The entry point :func:`solve_general_convex_sparse` is registered as the
 ``convex-sparse`` backend (alias ``convex``) of the Continuous model and

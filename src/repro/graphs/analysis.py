@@ -16,6 +16,7 @@ model has no communication costs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -75,13 +76,18 @@ def longest_path_length(
         if missing:
             raise InvalidGraphError(f"weight mapping is missing tasks: {sorted(missing)}")
         weights = idx.vector_of(mapping)
-    best = np.zeros(idx.n_tasks)
-    pred_ptr, pred_idx = idx.pred_ptr, idx.pred_idx
-    for u in idx.topo_order:
+    # Python lists: per-task numpy calls would cost more than the work
+    best = [0.0] * idx.n_tasks
+    pred_ptr, pred_idx = idx.pred_ptr.tolist(), idx.pred_idx.tolist()
+    for u, length in zip(idx.topo_order.tolist(),
+                         weights[idx.topo_order].tolist()):
         lo, hi = pred_ptr[u], pred_ptr[u + 1]
-        incoming = best[pred_idx[lo:hi]].max() if hi > lo else 0.0
-        best[u] = incoming + weights[u]
-    return float(best.max())
+        if hi - lo > 1:
+            length += max(itemgetter(*pred_idx[lo:hi])(best))
+        elif hi > lo:
+            length += best[pred_idx[lo]]
+        best[u] = length
+    return max(best)
 
 
 def critical_path(

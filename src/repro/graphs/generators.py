@@ -40,7 +40,9 @@ def uniform_works(low: float = 1.0, high: float = 10.0) -> WorkSampler:
     """Return a sampler drawing works uniformly from ``[low, high]``."""
     if not (0 < low <= high):
         raise InvalidGraphError("uniform work bounds must satisfy 0 < low <= high")
-    return lambda rng: float(rng.uniform(low, high))
+    span = high - low
+    # the arithmetic of Generator.uniform, without its per-call overhead
+    return lambda rng: low + span * rng.random()
 
 
 def lognormal_works(mean: float = 1.0, sigma: float = 0.5) -> WorkSampler:
@@ -293,10 +295,11 @@ def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
     if layers is None:
         layers = max(1, int(round(np.sqrt(n))))
     layers = min(layers, n)
-    # distribute n tasks over the layers, at least one per layer
+    # distribute n tasks over the layers, at least one per layer (draws
+    # are batched where that leaves the random stream unchanged)
     sizes = [1] * layers
-    for _ in range(n - layers):
-        sizes[int(rng.integers(0, layers))] += 1
+    for k in rng.integers(0, layers, size=n - layers).tolist():
+        sizes[k] += 1
     g = TaskGraph(name=name)
     layer_tasks: list[list[str]] = []
     tid = 1
@@ -314,8 +317,9 @@ def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
             # ensure connectivity to the previous layer
             forced = prev[int(rng.integers(0, len(prev)))]
             g.add_edge(forced, v)
+            draws = iter(rng.random(len(prev) - 1).tolist())
             for u in prev:
-                if u != forced and rng.random() < edge_probability:
+                if u != forced and next(draws) < edge_probability:
                     g.add_edge(u, v)
     return g
 
@@ -342,9 +346,9 @@ def erdos_dag(n: int, *, seed: RngLike = None, edge_probability: float = 0.15,
         g.add_task(Task(tname, sampler(rng)))
     perm = list(rng.permutation(n))
     for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < edge_probability:
-                g.add_edge(names[perm[a]], names[perm[b]])
+        # one batch per a draws the same stream as one draw per pair
+        for b in np.flatnonzero(rng.random(n - a - 1) < edge_probability):
+            g.add_edge(names[perm[a]], names[perm[a + 1 + b]])
     return g
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
@@ -212,44 +213,42 @@ def _build_index(graph: "TaskGraph") -> GraphIndex:
     works = np.fromiter((t.work for t in graph._tasks.values()),
                         dtype=float, count=n)
 
+    position = index_of.__getitem__
+    preds = [sorted(map(position, graph._pred[name])) for name in names]
+    succs = [sorted(map(position, graph._succ[name])) for name in names]
+    indeg = [len(p) for p in preds]
     pred_ptr = np.zeros(n + 1, dtype=np.int64)
+    pred_ptr[1:] = np.cumsum(indeg)
     succ_ptr = np.zeros(n + 1, dtype=np.int64)
-    for i, name in enumerate(names):
-        pred_ptr[i + 1] = pred_ptr[i] + len(graph._pred[name])
-        succ_ptr[i + 1] = succ_ptr[i] + len(graph._succ[name])
-    pred_idx = np.empty(pred_ptr[-1], dtype=np.int64)
-    succ_idx = np.empty(succ_ptr[-1], dtype=np.int64)
-    for i, name in enumerate(names):
-        preds = sorted(index_of[p] for p in graph._pred[name])
-        succs = sorted(index_of[s] for s in graph._succ[name])
-        pred_idx[pred_ptr[i]:pred_ptr[i + 1]] = preds
-        succ_idx[succ_ptr[i]:succ_ptr[i + 1]] = succs
+    succ_ptr[1:] = np.cumsum([len(s) for s in succs])
+    pred_idx = np.fromiter(chain.from_iterable(preds), dtype=np.int64,
+                           count=int(pred_ptr[-1]))
+    succ_idx = np.fromiter(chain.from_iterable(succs), dtype=np.int64,
+                           count=int(succ_ptr[-1]))
 
     # Kahn topological order (FIFO over insertion order) and levels in one
-    # pass; a cycle leaves the order short, which consumers detect via -1
-    # levels -- but we raise here so every cached index is a valid DAG view.
-    indeg = (pred_ptr[1:] - pred_ptr[:-1]).copy()
-    order = np.empty(n, dtype=np.int64)
-    level = np.zeros(n, dtype=np.int64)
+    # pass, on Python lists; a cycle leaves the order short, and we raise
+    # so every cached index is a valid DAG view.
+    order_list = [i for i in range(n) if indeg[i] == 0]
+    level_list = [0] * n
     head = 0
-    tail = 0
-    for i in range(n):
-        if indeg[i] == 0:
-            order[tail] = i
-            tail += 1
-    while head < tail:
-        u = order[head]
+    while head < len(order_list):
+        u = order_list[head]
         head += 1
-        for v in succ_idx[succ_ptr[u]:succ_ptr[u + 1]]:
+        lv = level_list[u] + 1
+        for v in succs[u]:
             indeg[v] -= 1
-            lv = level[u] + 1
-            if lv > level[v]:
-                level[v] = lv
+            if lv > level_list[v]:
+                level_list[v] = lv
             if indeg[v] == 0:
-                order[tail] = v
-                tail += 1
-    if tail != n:
-        raise InvalidGraphError(f"graph {graph.name!r} contains a cycle")
+                order_list.append(v)
+    if len(order_list) != n:
+        raise InvalidGraphError(
+            f"graph {graph.name!r} contains a cycle "
+            f"({n - len(order_list)} tasks unreachable in topological sort)"
+        )
+    order = np.array(order_list, dtype=np.int64)
+    level = np.array(level_list, dtype=np.int64)
 
     n_levels = int(level.max()) + 1 if n else 0
     order_by_level = np.argsort(level, kind="stable").astype(np.int64)
@@ -513,33 +512,21 @@ class TaskGraph:
     # validation / transformation
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Raise :class:`InvalidGraphError` if the graph is not a DAG."""
-        order = self._kahn_order()
-        if len(order) != len(self._tasks):
-            raise InvalidGraphError(
-                f"graph {self.name!r} contains a cycle "
-                f"({len(self._tasks) - len(order)} tasks unreachable in topological sort)"
-            )
+        """Raise :class:`InvalidGraphError` if the graph is not a DAG.
+
+        Validating builds the cached :meth:`index` (the view every solver
+        needs anyway), so a validated graph is not sorted again until it
+        is mutated.
+        """
+        self.index()
 
     def is_dag(self) -> bool:
         """Whether the graph is acyclic."""
-        return len(self._kahn_order()) == len(self._tasks)
-
-    def _kahn_order(self) -> list[str]:
-        """Kahn's algorithm; returns a topological order of the acyclic part."""
-        indeg = {n: len(self._pred[n]) for n in self._tasks}
-        ready = [n for n in self._tasks if indeg[n] == 0]
-        order: list[str] = []
-        while ready:
-            # Pop from the end (stack order) -- deterministic given insertion
-            # order, and avoids O(n) pops from the front.
-            n = ready.pop()
-            order.append(n)
-            for m in sorted(self._succ[n]):
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    ready.append(m)
-        return order
+        try:
+            self.index()
+        except InvalidGraphError:
+            return False
+        return True
 
     def copy(self, *, name: str | None = None) -> "TaskGraph":
         """Deep copy of the graph (tasks are immutable, so shared)."""

@@ -160,6 +160,27 @@ class TestGraphIndex:
         assert levels(g) == {name: int(idx.level[i]) + 1
                              for i, name in enumerate(idx.names)}
 
+    def test_index_order_is_fifo_kahn_over_insertion_order(self):
+        # solvers sweep in this order, so it must not drift: FIFO from the
+        # sources in insertion order, successors in index order
+        for g in (generators.layered_dag(80, seed=6),
+                  generators.erdos_dag(40, seed=2),
+                  generators.random_series_parallel(30, seed=4)):
+            idx = g.index()
+            succs = [sorted(idx.index_of[s] for s in g.successors(name))
+                     for name in idx.names]
+            indeg = [len(g.predecessors(name)) for name in idx.names]
+            order = [i for i in range(idx.n_tasks) if indeg[i] == 0]
+            level = [0] * idx.n_tasks
+            for u in order:
+                for v in succs[u]:
+                    level[v] = max(level[v], level[u] + 1)
+                    indeg[v] -= 1
+                    if indeg[v] == 0:
+                        order.append(v)
+            assert idx.topo_order.tolist() == order
+            assert idx.level.tolist() == level
+
     def test_index_cycle_raises(self):
         g = TaskGraph(tasks=[("a", 1.0), ("b", 1.0)], edges=[("a", "b"), ("b", "a")])
         with pytest.raises(InvalidGraphError):

@@ -119,6 +119,49 @@ class TestGenerators:
         with pytest.raises(InvalidGraphError):
             generators.erdos_dag(5, edge_probability=1.5)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 97])
+    def test_batched_draws_match_one_draw_per_edge(self, n):
+        import numpy as np
+
+        # the generators before their draws were batched: any change to
+        # the random stream would change every seeded instance
+        def layered(n, seed, p):
+            rng = np.random.default_rng(seed)
+            layers = max(1, int(round(np.sqrt(n))))
+            sizes = [1] * layers
+            for _ in range(n - layers):
+                sizes[int(rng.integers(0, layers))] += 1
+            works, edges, tid, layer_tasks = [], [], 1, []
+            for size in sizes:
+                layer_tasks.append([f"T{tid + i}" for i in range(size)])
+                works += [float(rng.uniform(1.0, 10.0)) for _ in range(size)]
+                tid += size
+            for prev, current in zip(layer_tasks, layer_tasks[1:]):
+                for v in current:
+                    forced = prev[int(rng.integers(0, len(prev)))]
+                    edges.append((forced, v))
+                    edges += [(u, v) for u in prev
+                              if u != forced and rng.random() < p]
+            return works, edges
+
+        def erdos(n, seed, p):
+            rng = np.random.default_rng(seed)
+            works = [float(rng.uniform(1.0, 10.0)) for _ in range(n)]
+            perm = list(rng.permutation(n))
+            edges = [(f"T{perm[a] + 1}", f"T{perm[b] + 1}")
+                     for a in range(n) for b in range(a + 1, n)
+                     if rng.random() < p]
+            return works, edges
+
+        for seed in range(5):
+            for p in (0.0, 0.3, 1.0):
+                for build, reference in ((generators.layered_dag, layered),
+                                         (generators.erdos_dag, erdos)):
+                    g = build(n, seed=seed, edge_probability=p)
+                    works, edges = reference(n, seed, p)
+                    assert [g.work(t) for t in g.task_names()] == works
+                    assert sorted(g.edges()) == sorted(edges)
+
     def test_generators_are_reproducible(self):
         a = generators.layered_dag(20, seed=42)
         b = generators.layered_dag(20, seed=42)

@@ -32,6 +32,7 @@ from repro.modeling import (
     UnknownBackendError,
     declare_precedence,
 )
+from repro.modeling.backends.mehrotra import SchurKKT
 from repro.utils.errors import (
     InvalidOptionError,
     SolverError,
@@ -248,6 +249,77 @@ class TestDeclarativeModels:
         # t-block has zero gradient and Hessian
         assert not grad[idx.n_tasks:].any()
         assert not obj.hessian_diagonal(x)[idx.n_tasks:].any()
+
+
+# --------------------------------------------------------------------------- #
+# the interior point's Newton solve with the objective block eliminated
+# --------------------------------------------------------------------------- #
+class TestSchurKKT:
+    @pytest.mark.parametrize("family",
+                             ["layered", "erdos", "diamond", "fork_join"])
+    def test_backward_error_against_the_assembled_matrix(self, family):
+        from repro.continuous.sparse import declare_continuous_program
+
+        # the fork-join's sink has 40 predecessors, so its duration is
+        # factorised with the completion times instead of eliminated
+        build = {"layered": lambda seed: generators.layered_dag(30, seed=seed),
+                 "erdos": lambda seed: generators.erdos_dag(30, seed=seed),
+                 "diamond": lambda seed: generators.diamond(4, 5, seed=seed),
+                 "fork_join": lambda seed: generators.fork_join(40, seed=seed)}
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for seed in range(20):
+            idx = build[family](seed).index()
+            n = idx.n_tasks
+            mat = declare_continuous_program(
+                n, idx.edge_src, idx.edge_dst, np.full(n, 0.01),
+                works=np.ones(n), alpha=3.0).materialize()
+            g = mat.g_matrix
+            block = mat.objective.block_slice()
+            kkt = SchurKKT(g, block, mat.name)
+            # the first factor picks the column order, the second reuses it
+            for _ in range(2):
+                weights = 10.0 ** rng.uniform(-3, 12, g.shape[0])
+                hess = np.zeros(mat.n_vars)
+                hess[block] = 10.0 ** rng.uniform(-2, 4, n)
+                reg = 1e-9 * float(np.mean(hess[block]))
+                assert kkt.factor(weights, hess[block], reg)
+                k = sp.diags(hess + reg) + g.T @ sp.diags(weights) @ g
+                rhs = rng.standard_normal(mat.n_vars)
+                x = kkt.solve(rhs)
+                residual = np.abs(k @ x - rhs).max()
+                scale = (abs(k).sum(axis=1).max() * np.abs(x).max()
+                         + np.abs(rhs).max())
+                worst = max(worst, residual / scale)
+        assert worst <= 1e-12
+
+    def test_wide_join_keeps_the_schur_complement_sparse(self):
+        from repro.continuous.sparse import declare_continuous_program
+
+        idx = generators.fork_join(2000, seed=3).index()
+        n = idx.n_tasks
+        mat = declare_continuous_program(
+            n, idx.edge_src, idx.edge_dst, np.full(n, 0.01),
+            works=np.ones(n), alpha=3.0).materialize()
+        kkt = SchurKKT(mat.g_matrix, mat.objective.block_slice(), mat.name)
+        # eliminating the sink's duration would join its 2000 predecessors
+        # into a dense block of 4 million entries
+        assert kkt.factor(np.ones(mat.g_matrix.shape[0]), np.ones(n), 1e-9)
+        assert kkt._s.shape == (n + 1, n + 1)
+        assert kkt._s.nnz <= 10 * n
+
+    def test_row_touching_two_objective_columns_is_rejected(self):
+        model = ConvexModel(name="coupled-durations")
+        d = model.add_variables("d", 2, lower=0.1)
+        t = model.add_variables("t", 1, lower=None, upper=1.0)
+        model.add_power_objective(d, [1.0, 1.0], -2.0)
+        model.add_constraints(
+            "sum", sense="ub", rhs=[0.0],
+            terms=[(d, np.array([0, 0]), np.array([0, 1]), 1.0),
+                   (t, np.array([0]), np.array([0]), -1.0)])
+        with pytest.raises(SolverError, match="coupled-durations"):
+            BACKENDS.solve(model, backend="mehrotra-ipm",
+                           hints={"x0": np.array([0.2, 0.2, 0.9])})
 
 
 # --------------------------------------------------------------------------- #
