@@ -24,11 +24,17 @@ size (10,000-task general DAGs in seconds):
   (:mod:`repro.modeling.backends.mehrotra`).  Every row of the program
   touches at most one duration, so the duration block of its KKT
   matrices ``H + Gᵀ diag(λ/s) G`` is diagonal: the backend eliminates it
-  and factorises with SuperLU only the n x n Schur complement on the
-  completion times (the DAG's sparsity plus each task's predecessors
-  joined; the duration of a task with more than 31 predecessors stays in
-  the factorised system, so a wide join does not make it dense) — ~25-60
-  factorisations regardless of size.
+  and factorises only the n x n Schur complement on the completion times
+  (the DAG's sparsity plus each task's predecessors joined; the duration
+  of a task with more than 31 predecessors stays in the factorised
+  system, so a wide join does not make it dense) — ~25-60 factorisations
+  regardless of size.  The first is SuperLU's; where its factors fill in
+  (Erdős DAGs up to ~1000 tasks, layered and diamond DAGs up to a few
+  hundred: fill above 0.19·sqrt(n/1000) of n²), the rest are dense LAPACK
+  Cholesky factors, up to 4x cheaper there; sparser ones (larger layered
+  and diamond DAGs, Erdős DAGs from ~1250 tasks) stay on SuperLU, up to
+  14x cheaper than dense there.  ``factorization`` and ``fill`` in the
+  metadata record which path ran.
 
 The entry point :func:`solve_general_convex_sparse` is registered as the
 ``convex-sparse`` backend (alias ``convex``) of the Continuous model and
@@ -42,8 +48,8 @@ the per-iteration cost.)
 
 Every returned point is feasibility-repaired (cut to the deadline, and
 never worse than the warm start), so callers get a valid solution even
-when the iteration stops early at ``max_iterations`` or on a KKT factor
-SuperLU cannot handle.
+when the iteration stops early at ``max_iterations`` or on a singular KKT
+factor.
 """
 
 from __future__ import annotations
@@ -285,7 +291,7 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
         The instance; its model's ``s_max`` (finite or infinite) is
         honoured.
     max_iterations:
-        Cap on interior-point iterations (each is one sparse
+        Cap on interior-point iterations (each is one KKT
         factorisation; typical instances converge in 25-60).  Passed to
         the backend when it declares the option.
     tolerance:
@@ -435,6 +441,8 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
                                              model.materialize().g_matrix.shape[0])),
         "n_edges_pruned": int(idx.n_edges - len(esrc)),
         "backend": diagnostics.get("backend", backend),
+        "factorization": diagnostics.get("factorization"),
+        "fill": diagnostics.get("fill"),
         "build_seconds": diagnostics.get("build_seconds"),
         "solve_seconds": diagnostics.get("solve_seconds"),
         "model_fingerprint": diagnostics.get("model_fingerprint"),

@@ -483,11 +483,13 @@ def experiment_e10_sparse_scaling(*, sizes: Sequence[int] = (1000, 5000, 10_000)
     """Sparse solver paths on large general (layered) DAGs.
 
     One row per size: the sparse interior-point Continuous solver
-    (``convex-sparse``) and the incremental discrete heuristic.  Expected
-    shape: the 1k/5k/10k rows complete in seconds.
+    (``convex-sparse``, with the factorisation its KKT systems took) and
+    the incremental discrete heuristic.  Expected shape: the 1k/5k/10k
+    rows complete in seconds, on SuperLU factors.
     """
     table = Table(
         columns=["n_tasks", "convex_sparse_seconds", "convex_sparse_energy",
+                 "convex_sparse_factorization",
                  "discrete_heuristic_seconds", "discrete_winner", "greedy_moves"],
         title="E10-SPARSE - sparse solver paths on large general DAGs",
     )
@@ -512,6 +514,7 @@ def experiment_e10_sparse_scaling(*, sizes: Sequence[int] = (1000, 5000, 10_000)
         check_solution(discrete_solution)
 
         table.add_row(n, sparse_seconds, sparse_solution.energy,
+                      sparse_solution.metadata.get("factorization"),
                       discrete_seconds, discrete_solution.solver,
                       discrete_solution.metadata.get("moves_applied"))
     return table

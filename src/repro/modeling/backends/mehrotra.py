@@ -12,12 +12,16 @@ matrix ``K = H + Gᵀ diag(λ/s) G``.  The backend requires every row of
 ``G`` to touch at most one column of the objective block (in the
 Continuous program the precedence, start-time and speed-cap rows each
 touch one duration, the deadline rows none), so ``K``'s objective block is
-diagonal and is eliminated exactly: SuperLU factorises only the Schur
-complement on the remaining variables (the completion times), and the
+diagonal and is eliminated exactly: only the Schur complement on the
+remaining variables (the completion times) is factorised, and the
 objective-block step follows by back-substitution (:class:`SchurKKT`).
 A duration coupled to more than :data:`_MAX_COUPLING` completion times (a
 task with that many predecessors) would make the Schur complement dense
 there, so it stays in the factorised system instead.
+The first factorisation is SuperLU's, and the fill of its factors picks
+the later ones (:data:`_DENSE_FILL`): LAPACK Cholesky of the Schur
+complement in one reused dense buffer where it fills in (Erdős DAGs up to
+~1000 tasks, small layered and diamond ones), SuperLU elsewhere.
 Linear constraints mean the iterates stay exactly primal-feasible, so
 stopping early still leaves a point the caller can repair.  The iteration
 needs a strictly interior start — callers pass it via the ``x0`` hint (the
@@ -26,10 +30,12 @@ Continuous solver computes one from its warm starts).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 from repro.core.registry import OptionSpec
@@ -53,9 +59,21 @@ _MAX_REL_STEP = 0.5
 #: eliminating every duration.
 _MAX_COUPLING = 32
 
+#: Fill ``(L.nnz + U.nnz) / n_S**2`` of the first SuperLU factor of an
+#: n_S = 1000 Schur complement above which :class:`SchurKKT` factorises it
+#: densely with LAPACK Cholesky; the threshold scales as ``sqrt(n_S)``.
+#: The dense factor's n_S**3 / 3 flops outgrow SuperLU's per-entry work as
+#: n_S grows, so their break-even fill rises with n_S.  Timed per factor
+#: (densifying and two solves included; one x86 core, OpenBLAS) on layered,
+#: Erdős and diamond DAGs with n_S from 24 to 2000, SuperLU is faster at
+#: fill 0.12 with n_S 500 and at 0.16 with n_S 1500, dense Cholesky at
+#: 0.115 with n_S 169 and at 0.16 with n_S 100-250: no fixed fill picks
+#: the faster path on all of them, this scaled one does on every case.
+_DENSE_FILL = 0.19
+
 _OPTIONS = (
     OptionSpec("max_iterations", (int,), default=200,
-               doc="cap on interior-point iterations (each is one sparse "
+               doc="cap on interior-point iterations (each is one "
                    "factorisation; typical instances converge in 25-60)"),
     OptionSpec("tolerance", (float, int), default=1e-9,
                doc="relative duality-gap target of the stopping test"),
@@ -100,11 +118,24 @@ class SchurKKT:
     The sparsity of ``S``, ``K_dt`` and ``k_d`` depends on ``G`` alone, so
     it is built once, with index maps that fill their values from the row
     weights ``w`` in a few ``np.bincount`` calls (``S`` is summed on its
-    lower triangle and mirrored).  The first factorisation picks SuperLU's
-    COLAMD column order; ``S`` is then assembled in that order, and every
-    later factorisation keeps it.  All of them pivot partially: a factor
-    without pivoting was no faster, and it breaks down on some ``S`` whose
-    diagonal spans ~25 decades.
+    lower triangle and mirrored).  The first factorisation is SuperLU's
+    with a COLAMD column order, and the fill of its factors picks the path
+    of every later one (``factorization``, ``fill``):
+
+    * up to :data:`_DENSE_FILL` times ``sqrt(n_S / 1000)``, ``S`` is
+      assembled in that column order and SuperLU keeps it.  All of its
+      factorisations pivot partially: a factor without pivoting was no
+      faster, and it breaks down on some ``S`` whose diagonal spans ~25
+      decades;
+    * above it, the first factor is dropped and the lower triangle of
+      ``S`` is scattered into one dense buffer, factorised in place by
+      LAPACK ``dpotrf``.  ``S`` is SPD, but late in an iteration it is a
+      difference of terms up to ~25 decades apart, and rounding can leave
+      a pivot that is not positive (about one 96-task layered DAG in 150,
+      for a few factorisations each): that factorisation is redone on the
+      same ``S`` by LU with partial pivoting (``dgetrf``), as SuperLU
+      would.  A singular LU fails it the way a singular SuperLU factor
+      does.
 
     ``block`` is the objective block's column slice of ``g_matrix``;
     ``name`` names the model in the error raised when a row touches two
@@ -205,24 +236,55 @@ class SchurKKT:
         self._k_d = np.ones(n_d)
         self._lu: Any = None
         self._ordered = False
+        self._dense: np.ndarray | None = None
+        self._pivots: np.ndarray | None = None
+        #: ``"superlu"`` or ``"cholesky"``: what factorises ``S`` from the
+        #: second factorisation on
+        self.factorization = "superlu"
+        #: ``(L.nnz + U.nnz) / n_S**2`` of the first factorisation
+        self.fill: float | None = None
 
     def factor(self, weights: np.ndarray, hess: np.ndarray,
                reg: float) -> bool:
         """Factorise ``S`` for row weights ``weights`` and the objective
         block's Hessian diagonal ``hess``.
 
-        Returns ``False`` when SuperLU finds ``S`` singular even with the
+        Returns ``False`` when LU (SuperLU's, or the dense fallback of a
+        failed Cholesky factor) finds ``S`` singular even with the
         regularisation ``reg`` raised ten thousand fold.
         """
         if not self._ordered and self._lu is not None:
-            self._reorder(self._lu.perm_c)
+            # the second factorisation: the first one's fill picks the path
+            threshold = _DENSE_FILL * math.sqrt(len(self._t_cols) / 1000)
+            if self.fill is not None and self.fill > threshold:
+                self._densify()
+            else:
+                self._reorder(self._lu.perm_c)
         for shift in (reg, 1e4 * reg):
-            self._fill(weights, hess, shift)
+            lower = self._fill(weights, hess, shift)
+            if self._dense is not None:
+                self._pivots = None
+                self._scatter(lower)
+                if dpotrf(self._dense, lower=1, clean=0,
+                          overwrite_a=1)[1] == 0:
+                    return True
+                # rounding left a pivot that is not positive: LU with
+                # partial pivoting of the same S, as SuperLU would do
+                self._scatter(lower, mirrored=True)
+                _lu, pivots, info = dgetrf(self._dense, overwrite_a=1)
+                if info == 0:
+                    self._pivots = pivots
+                    return True
+                continue
+            self._s.data = lower[self._mirror]
             try:
                 self._lu = splu(self._s, permc_spec=(
                     "NATURAL" if self._ordered else "COLAMD"))
             except RuntimeError:
                 continue
+            if self.fill is None:
+                self.fill = ((self._lu.L.nnz + self._lu.U.nnz)
+                             / max(1, len(self._t_cols)) ** 2)
             return True
         return False
 
@@ -230,8 +292,14 @@ class SchurKKT:
         """``K⁻¹ rhs`` with the current factorisation."""
         r_d = rhs[self._d_index]
         scaled = (r_d / self._k_d)[self._kdt_row] * self._kdt
-        x_t = self._lu.solve(rhs[self._t_cols] - np.bincount(
-            self._kdt_col, scaled, minlength=len(self._t_cols)))
+        r_t = rhs[self._t_cols] - np.bincount(
+            self._kdt_col, scaled, minlength=len(self._t_cols))
+        if self._dense is None:
+            x_t = self._lu.solve(r_t)
+        elif self._pivots is None:
+            x_t = dpotrs(self._dense, r_t, lower=1)[0]
+        else:
+            x_t = dgetrs(self._dense, self._pivots, r_t)[0]
         out = np.empty(len(rhs))
         out[self._d_index] = (r_d - np.bincount(
             self._kdt_row, self._kdt * x_t[self._kdt_col],
@@ -240,7 +308,8 @@ class SchurKKT:
         return out
 
     def _fill(self, weights: np.ndarray, hess: np.ndarray,
-              reg: float) -> None:
+              reg: float) -> np.ndarray:
+        """Update ``k_d`` and ``K_dt``; returns ``S``'s lower triangle."""
         k_d = hess[self._hess_d] + reg + np.bincount(
             self._d_col, weights[self._d_row] * self._d_sq,
             minlength=len(self._hess_d))
@@ -253,11 +322,10 @@ class SchurKKT:
         terms = np.concatenate([diagonal,
                                 weights[self._gtt_src] * self._gtt_coef,
                                 -scaled[self._sch_p] * scaled[self._sch_q]])
-        lower = np.bincount(self._s_pos, terms,
-                            minlength=len(self._lower_row))
-        self._s.data = lower[self._mirror]
         self._k_d = k_d
         self._kdt = kdt
+        return np.bincount(self._s_pos, terms,
+                           minlength=len(self._lower_row))
 
     def _assemble(self, perm: np.ndarray) -> None:
         """Lay out ``S`` in full CSC with ``t`` renumbered by ``perm`` (old
@@ -277,6 +345,28 @@ class SchurKKT:
             (np.zeros(len(keys)), (keys % n_t).astype(np.int32),
              indptr.astype(np.int32)), shape=(n_t, n_t))
 
+    def _densify(self) -> None:
+        """Move to the dense path: one column-major buffer, which every
+        factorisation refills and overwrites."""
+        n_t = len(self._t_cols)
+        self._lu = self._s = self._mirror = None
+        self._dense = np.zeros((n_t, n_t), order="F")
+        self._dense_flat = self._dense.ravel(order="F")
+        rows = self._lower_row.astype(np.int64)
+        cols = self._lower_col.astype(np.int64)
+        self._dense_pos = cols * n_t + rows
+        self._strict = np.flatnonzero(rows != cols)
+        self._dense_upper = (rows * n_t + cols)[self._strict]
+        self.factorization = "cholesky"
+
+    def _scatter(self, lower: np.ndarray, mirrored: bool = False) -> None:
+        """Write ``S`` into the dense buffer: its lower triangle, and with
+        ``mirrored`` its upper one too."""
+        self._dense.fill(0.0)
+        self._dense_flat[self._dense_pos] = lower
+        if mirrored:
+            self._dense_flat[self._dense_upper] = lower[self._strict]
+
     def _reorder(self, perm_c: np.ndarray) -> None:
         """Renumber ``t`` so that ``S`` is assembled in the column order
         ``perm_c`` of the first factorisation."""
@@ -288,8 +378,8 @@ class SchurKKT:
 
 @BACKENDS.register("mehrotra-ipm", kinds=("convex",), options=_OPTIONS,
                    doc="sparse Mehrotra predictor-corrector interior point "
-                       "(SuperLU-factorised Schur complement of the KKT "
-                       "systems)")
+                       "(Schur complement of the KKT systems factorised by "
+                       "SuperLU, or by dense Cholesky where it fills in)")
 def _solve_mehrotra(mat: MaterializedConvex, options: Mapping[str, Any],
                     hints: Mapping[str, Any]
                     ) -> tuple[np.ndarray, float, dict[str, Any]]:
@@ -376,4 +466,6 @@ def _solve_mehrotra(mat: MaterializedConvex, options: Mapping[str, Any],
         "duality_gap": gap,
         "converged": converged,
         "n_constraints": int(n_cons),
+        "factorization": kkt.factorization,
+        "fill": kkt.fill,
     }

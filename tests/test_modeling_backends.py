@@ -255,17 +255,23 @@ class TestDeclarativeModels:
 # the interior point's Newton solve with the objective block eliminated
 # --------------------------------------------------------------------------- #
 class TestSchurKKT:
-    @pytest.mark.parametrize("family",
-                             ["layered", "erdos", "diamond", "fork_join"])
+    @pytest.mark.parametrize("family", ["layered", "erdos", "diamond",
+                                        "fork_join", "diamond_1024"])
     def test_backward_error_against_the_assembled_matrix(self, family):
         from repro.continuous.sparse import declare_continuous_program
+
+        # the small Schur complements fill in and are factorised densely;
+        # the 32x32 diamond's factor fills ~4% and stays on SuperLU
+        factorization = "superlu" if family == "diamond_1024" else "cholesky"
 
         # the fork-join's sink has 40 predecessors, so its duration is
         # factorised with the completion times instead of eliminated
         build = {"layered": lambda seed: generators.layered_dag(30, seed=seed),
                  "erdos": lambda seed: generators.erdos_dag(30, seed=seed),
                  "diamond": lambda seed: generators.diamond(4, 5, seed=seed),
-                 "fork_join": lambda seed: generators.fork_join(40, seed=seed)}
+                 "fork_join": lambda seed: generators.fork_join(40, seed=seed),
+                 "diamond_1024": lambda seed: generators.diamond(32, 32,
+                                                                 seed=seed)}
         rng = np.random.default_rng(5)
         worst = 0.0
         for seed in range(20):
@@ -291,6 +297,7 @@ class TestSchurKKT:
                 scale = (abs(k).sum(axis=1).max() * np.abs(x).max()
                          + np.abs(rhs).max())
                 worst = max(worst, residual / scale)
+            assert kkt.factorization == factorization, (seed, kkt.fill)
         assert worst <= 1e-12
 
     def test_wide_join_keeps_the_schur_complement_sparse(self):
@@ -307,6 +314,17 @@ class TestSchurKKT:
         assert kkt.factor(np.ones(mat.g_matrix.shape[0]), np.ones(n), 1e-9)
         assert kkt._s.shape == (n + 1, n + 1)
         assert kkt._s.nnz <= 10 * n
+
+    def test_model_of_objective_columns_only_solves(self):
+        # every column is eliminated, so the factorised S is 0 x 0
+        model = ConvexModel(name="durations-only")
+        d = model.add_variables("d", 2, lower=0.1, upper=1.0)
+        model.add_power_objective(d, [1.0, 2.0], -2.0)
+        result = BACKENDS.solve(model, backend="mehrotra-ipm",
+                                hints={"x0": np.array([0.5, 0.5])})
+        assert result.metadata["converged"]
+        assert result.metadata["factorization"] == "superlu"
+        assert result.x == pytest.approx([1.0, 1.0], rel=1e-6)
 
     def test_row_touching_two_objective_columns_is_rejected(self):
         model = ConvexModel(name="coupled-durations")

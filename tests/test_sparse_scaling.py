@@ -238,6 +238,53 @@ class TestConvexSparse:
         check_solution(solution)
         assert not solution.metadata["converged"]
 
+    def test_failed_cholesky_falls_back_to_lu(self, monkeypatch):
+        import repro.modeling.backends.mehrotra as mehrotra
+
+        problem = _problem(generators.layered_dag(30, seed=5))
+        reference = solve_general_convex_sparse(problem)
+        calls = []
+
+        def not_positive_definite(a, **_kwargs):
+            calls.append("dpotrf")
+            return a, 1  # LAPACK's info > 0: a pivot that is not positive
+
+        monkeypatch.setattr(mehrotra, "dpotrf", not_positive_definite)
+        solution = solve_general_convex_sparse(problem)
+        assert solution.metadata["factorization"] == "cholesky"
+        assert solution.metadata["converged"]
+        # one Cholesky attempt per factorisation but the first (SuperLU's);
+        # the last iteration only finds the point converged
+        assert len(calls) == solution.metadata["iterations"] - 2
+        assert solution.energy == pytest.approx(reference.energy, rel=1e-9)
+
+    def test_failed_dense_factor_returns_the_repaired_iterate(self,
+                                                              monkeypatch):
+        import repro.modeling.backends.mehrotra as mehrotra
+
+        calls = []
+
+        def not_positive_definite(a, **_kwargs):
+            calls.append("dpotrf")
+            return a, 1
+
+        def singular(a, **_kwargs):
+            calls.append("dgetrf")
+            return a, np.arange(1, len(a) + 1, dtype=np.int32), 1
+
+        monkeypatch.setattr(mehrotra, "dpotrf", not_positive_definite)
+        monkeypatch.setattr(mehrotra, "dgetrf", singular)
+        problem = _problem(generators.layered_dag(30, seed=5))
+        solution = solve_general_convex_sparse(problem)
+        check_solution(solution)
+        # the first factor is SuperLU's; the second, the first dense one,
+        # fails both ways, and so does its retry with the regularisation
+        # raised
+        assert solution.metadata["factorization"] == "cholesky"
+        assert solution.metadata["iterations"] == 2
+        assert calls == ["dpotrf", "dgetrf"] * 2
+        assert not solution.metadata["converged"]
+
     def test_single_task_and_tight_deadline(self):
         single = _problem(generators.chain(1, seed=1))
         solution = solve_general_convex_sparse(single)
@@ -258,6 +305,8 @@ class TestConvexSparse:
         assert solution.metadata["converged"]
         assert solution.metadata["iterations"] > 0
         assert solution.metadata["n_constraints"] > 0
+        assert solution.metadata["factorization"] == "cholesky"
+        assert 0.0 < solution.metadata["fill"] <= 1.0
 
     def test_registered_backend_and_aliases(self):
         problem = _problem(generators.layered_dag(40, seed=2))

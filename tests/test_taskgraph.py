@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from repro.graphs import (
     transitive_closure_pairs,
     transitive_reduction,
 )
-from repro.graphs.analysis import levels
+from repro.graphs.analysis import descendant_bitsets, levels
 from repro.graphs import generators
 from repro.utils.errors import InvalidGraphError
 
@@ -209,6 +210,21 @@ class TestAnalysis:
         assert ancestors(g, "T3") == {"T1", "T2"}
         assert descendants(g, "T2") == {"T3", "T4"}
         assert ancestors(g, "T1") == set()
+
+    @pytest.mark.parametrize("cls", sorted(generators.GRAPH_CLASSES))
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_descendant_bitsets_match_descendants(self, cls, n):
+        graph = generators.GRAPH_CLASSES[cls](n, seed=n)
+        idx = graph.index()
+        closure = descendant_bitsets(graph)
+        assert closure.dtype == np.uint64
+        assert closure.shape == (idx.n_tasks, (idx.n_tasks + 63) // 64)
+        # bit j of row i sits in word j // 64 at bit j % 64
+        bits = np.unpackbits(closure.astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")
+        for i, name in enumerate(idx.names):
+            expected = sorted(idx.index_of[d] for d in descendants(graph, name))
+            assert np.flatnonzero(bits[i]).tolist() == expected, (name, i)
 
     def test_transitive_closure_pairs_chain(self):
         g = generators.chain(3, works=[1.0] * 3)
