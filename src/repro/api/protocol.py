@@ -378,7 +378,7 @@ class SolveRequest:
             from repro.graphs.analysis import longest_path_length
 
             deadline = float(self.slack) * longest_path_length(
-                graph, weight=lambda n: graph.work(n) / s_max)
+                graph, weight=graph.index().works / s_max)
         power = CUBIC if self.alpha == 3.0 else PowerLaw(alpha=self.alpha)
         return MinEnergyProblem(graph=graph, deadline=deadline, model=model,
                                 power=power, name=self.name)

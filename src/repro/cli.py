@@ -117,7 +117,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not (s_max < float("inf")):
             raise ReproError("--slack needs a finite maximum speed; pass --deadline instead")
         deadline = args.slack * longest_path_length(
-            graph, weight=lambda n: graph.work(n) / s_max)
+            graph, weight=graph.index().works / s_max)
     problem = MinEnergyProblem(graph=graph, deadline=deadline, model=model)
     options = {"backend": args.backend} if args.backend else {}
     policy, request_deadline = _reliability_kwargs(args)

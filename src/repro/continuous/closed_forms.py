@@ -23,20 +23,23 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.models import ContinuousModel
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import Solution, SpeedAssignment, make_solution
+from repro.graphs.taskgraph import GraphIndex
 from repro.utils.errors import InfeasibleProblemError, InvalidGraphError
 from repro.utils.numerics import leq_with_tol
 
 
 def solve_single_task(problem: MinEnergyProblem) -> Solution:
     """Optimal Continuous solution for a single-task graph."""
-    graph = problem.graph
-    if graph.n_tasks != 1:
+    idx = problem.graph.index()
+    if idx.n_tasks != 1:
         raise InvalidGraphError("solve_single_task requires exactly one task")
-    name = graph.task_names()[0]
-    speed = graph.work(name) / problem.deadline
+    name = idx.names[0]
+    speed = float(idx.works[0]) / problem.deadline
     s_max = problem.model.max_speed
     if not leq_with_tol(speed, s_max):
         raise InfeasibleProblemError(
@@ -56,16 +59,16 @@ def solve_chain(problem: MinEnergyProblem) -> Solution:
     average speed without violating the deadline while strictly decreasing
     the energy, so the optimum uses a single speed.
     """
-    graph = problem.graph
-    _assert_is_chain(graph)
-    total = graph.total_work()
+    idx = problem.graph.index()
+    _assert_is_chain(idx)
+    total = sum(idx.works.tolist())
     speed = total / problem.deadline
     s_max = problem.model.max_speed
     if not leq_with_tol(speed, s_max):
         raise InfeasibleProblemError(
             f"chain requires common speed {speed:g} > s_max {s_max:g}"
         )
-    assignment = SpeedAssignment({n: speed for n in graph.task_names()})
+    assignment = SpeedAssignment(dict.fromkeys(idx.names, speed))
     return make_solution(problem, assignment, solver="continuous-chain",
                          optimal=True)
 
@@ -126,18 +129,18 @@ def fork_optimal_speeds(source_work: float, leaf_works: list[float],
 
 def solve_fork(problem: MinEnergyProblem) -> Solution:
     """Optimal Continuous solution for a fork execution graph (Theorem 1)."""
-    graph = problem.graph
-    source, leaves = _fork_structure(graph)
-    leaf_names = sorted(leaves)
+    idx = problem.graph.index()
+    source, leaves = _fork_structure(idx)
+    works = idx.works.tolist()
     s0, leaf_speeds = fork_optimal_speeds(
-        graph.work(source),
-        [graph.work(n) for n in leaf_names],
+        works[source],
+        [works[i] for i in leaves],
         problem.deadline,
         s_max=problem.model.max_speed,
         alpha=problem.power.alpha,
     )
-    speeds = {source: s0}
-    speeds.update(dict(zip(leaf_names, leaf_speeds)))
+    speeds = {idx.names[source]: s0}
+    speeds.update(zip((idx.names[i] for i in leaves), leaf_speeds))
     assignment = SpeedAssignment(speeds)
     return make_solution(problem, assignment, solver="continuous-fork-closed-form",
                          optimal=True)
@@ -150,18 +153,18 @@ def solve_join(problem: MinEnergyProblem) -> Solution:
     energy and the set of feasible duration vectors unchanged, so the
     optimal speeds coincide with those of the corresponding fork.
     """
-    graph = problem.graph
-    sink, leaves = _join_structure(graph)
-    leaf_names = sorted(leaves)
+    idx = problem.graph.index()
+    sink, leaves = _join_structure(idx)
+    works = idx.works.tolist()
     s_sink, leaf_speeds = fork_optimal_speeds(
-        graph.work(sink),
-        [graph.work(n) for n in leaf_names],
+        works[sink],
+        [works[i] for i in leaves],
         problem.deadline,
         s_max=problem.model.max_speed,
         alpha=problem.power.alpha,
     )
-    speeds = {sink: s_sink}
-    speeds.update(dict(zip(leaf_names, leaf_speeds)))
+    speeds = {idx.names[sink]: s_sink}
+    speeds.update(zip((idx.names[i] for i in leaves), leaf_speeds))
     assignment = SpeedAssignment(speeds)
     return make_solution(problem, assignment, solver="continuous-join-closed-form",
                          optimal=True)
@@ -170,50 +173,52 @@ def solve_join(problem: MinEnergyProblem) -> Solution:
 # --------------------------------------------------------------------------- #
 # structure checks
 # --------------------------------------------------------------------------- #
-def _assert_is_chain(graph) -> None:
-    names = graph.task_names()
-    if not names:
+def _assert_is_chain(idx: GraphIndex) -> None:
+    n = idx.n_tasks
+    if not n:
         raise InvalidGraphError("empty graph")
-    sources = graph.sources()
-    sinks = graph.sinks()
-    if len(sources) != 1 or len(sinks) != 1:
+    indeg, outdeg = idx.in_degree, idx.out_degree
+    if np.count_nonzero(indeg == 0) != 1 or np.count_nonzero(outdeg == 0) != 1:
         raise InvalidGraphError("a chain has exactly one source and one sink")
-    for n in names:
-        if graph.out_degree(n) > 1 or graph.in_degree(n) > 1:
-            raise InvalidGraphError(f"task {n!r} breaks the chain structure")
-    if graph.n_edges != graph.n_tasks - 1:
+    broken = np.flatnonzero((outdeg > 1) | (indeg > 1))
+    if len(broken):
+        raise InvalidGraphError(
+            f"task {idx.names[broken[0]]!r} breaks the chain structure")
+    if idx.n_edges != n - 1:
         raise InvalidGraphError("graph is not a single connected chain")
 
 
-def _fork_structure(graph) -> tuple[str, list[str]]:
-    """Return ``(source, leaves)`` or raise if the graph is not a fork."""
-    sources = graph.sources()
+def _fork_structure(idx: GraphIndex) -> tuple[int, list[int]]:
+    """``(source, leaves)`` indices, leaves in name order, or raise if the
+    graph is not a fork."""
+    sources = np.flatnonzero(idx.in_degree == 0)
     if len(sources) != 1:
         raise InvalidGraphError("a fork has exactly one source")
-    source = sources[0]
-    leaves = graph.successors(source)
-    if set(leaves) | {source} != set(graph.task_names()):
+    source = int(sources[0])
+    leaves = sorted(idx.successors_of(source).tolist(), key=idx.names.__getitem__)
+    if len(leaves) + 1 != idx.n_tasks:
         raise InvalidGraphError("a fork's source must directly precede every other task")
     for leaf in leaves:
-        if graph.out_degree(leaf) != 0 or graph.in_degree(leaf) != 1:
-            raise InvalidGraphError(f"task {leaf!r} breaks the fork structure")
+        if idx.out_degree[leaf] != 0 or idx.in_degree[leaf] != 1:
+            raise InvalidGraphError(f"task {idx.names[leaf]!r} breaks the fork structure")
     if not leaves:
         raise InvalidGraphError("a fork needs at least one leaf")
     return source, leaves
 
 
-def _join_structure(graph) -> tuple[str, list[str]]:
-    """Return ``(sink, leaves)`` or raise if the graph is not a join."""
-    sinks = graph.sinks()
+def _join_structure(idx: GraphIndex) -> tuple[int, list[int]]:
+    """``(sink, leaves)`` indices, leaves in name order, or raise if the
+    graph is not a join."""
+    sinks = np.flatnonzero(idx.out_degree == 0)
     if len(sinks) != 1:
         raise InvalidGraphError("a join has exactly one sink")
-    sink = sinks[0]
-    leaves = graph.predecessors(sink)
-    if set(leaves) | {sink} != set(graph.task_names()):
+    sink = int(sinks[0])
+    leaves = sorted(idx.predecessors_of(sink).tolist(), key=idx.names.__getitem__)
+    if len(leaves) + 1 != idx.n_tasks:
         raise InvalidGraphError("a join's sink must directly succeed every other task")
     for leaf in leaves:
-        if graph.in_degree(leaf) != 0 or graph.out_degree(leaf) != 1:
-            raise InvalidGraphError(f"task {leaf!r} breaks the join structure")
+        if idx.in_degree[leaf] != 0 or idx.out_degree[leaf] != 1:
+            raise InvalidGraphError(f"task {idx.names[leaf]!r} breaks the join structure")
     if not leaves:
         raise InvalidGraphError("a join needs at least one source task")
     return sink, leaves

@@ -70,7 +70,7 @@ from repro.core.solution import (
     tail_times,
 )
 from repro.graphs.analysis import longest_path_length
-from repro.graphs.taskgraph import GraphIndex, Task, TaskGraph
+from repro.graphs.taskgraph import GraphIndex, TaskGraph
 from repro.modeling import BACKENDS, ConvexModel, declare_precedence
 from repro.utils.errors import SolverError
 
@@ -187,19 +187,19 @@ def _forest_warm_start(problem: MinEnergyProblem, idx: GraphIndex,
     n = idx.n_tasks
     _start, unit_finish = asap_times(idx, works)
     root = "__critical_forest_root__"
-    while root in problem.graph:
+    while root in idx.index_of:
         root += "_"
-    forest = TaskGraph(name="critical-forest")
-    forest.add_task(Task(root, max(float(np.min(works)) * 1e-6, 1e-12)))
-    for i, name in enumerate(idx.names):
-        forest.add_task(Task(name, float(works[i])))
-    for i, name in enumerate(idx.names):
-        preds = idx.predecessors_of(i)
-        if len(preds):
-            critical = preds[int(np.argmax(unit_finish[preds]))]
-            forest.add_edge(idx.names[critical], name)
-        else:
-            forest.add_edge(root, name)
+    # forest task 0 is the root, task i + 1 is task i; a task's parent is
+    # its first predecessor (CSR order) with the latest finish, else the root
+    has_pred = idx.in_degree > 0
+    by_finish = np.lexsort((-unit_finish[idx.pred_idx],
+                            np.repeat(np.arange(n), idx.in_degree)))
+    parent = np.zeros(n, dtype=np.int64)
+    parent[has_pred] = idx.pred_idx[by_finish[idx.pred_ptr[:-1][has_pred]]] + 1
+    forest = TaskGraph.from_arrays(
+        (root, *idx.names),
+        np.concatenate(([max(float(np.min(works)) * 1e-6, 1e-12)], works)),
+        parent, np.arange(1, n + 1), name="critical-forest")
     tree_problem = MinEnergyProblem(
         graph=forest, deadline=1.0, model=ContinuousModel(s_max=math.inf),
         power=problem.power, name="critical-forest-warm-start",
@@ -348,8 +348,7 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
         d_lower = np.full(n, 1e-9)
     d_lower = np.maximum(d_lower, 1e-9)
 
-    cp_norm = longest_path_length(
-        graph, weight=lambda name: graph.work(name) / work_scale)
+    cp_norm = longest_path_length(graph, weight=works)
     if cp_norm <= 0:
         raise SolverError("graph has no work")
     uniform_d = np.maximum(works / cp_norm, d_lower)

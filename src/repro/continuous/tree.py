@@ -50,27 +50,17 @@ def _tree_orientation(graph: TaskGraph) -> str | None:
         return None
     if n == 1:
         return "out"
-    if graph.n_edges != n - 1:
-        return None
     if not graph.is_dag():
         return None
-    # weak connectivity
-    names = graph.task_names()
-    seen = {names[0]}
-    stack = [names[0]]
-    while stack:
-        u = stack.pop()
-        for v in graph.successors(u) + graph.predecessors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != n:
+    idx = graph.index()
+    if idx.n_edges != n - 1:
         return None
-    out_tree = all(graph.in_degree(v) <= 1 for v in names)
-    in_tree = all(graph.out_degree(v) <= 1 for v in names)
-    if out_tree and len(graph.sources()) == 1:
+    # n - 1 edges into at most one task each leave exactly one task without
+    # a parent, and in a DAG every task's parent chain ends there: the
+    # graph is a connected out-tree (and symmetrically an in-tree)
+    if (idx.in_degree <= 1).all():
         return "out"
-    if in_tree and len(graph.sinks()) == 1:
+    if (idx.out_degree <= 1).all():
         return "in"
     return None
 
@@ -176,7 +166,9 @@ def solve_tree(problem: MinEnergyProblem, *, enforce_speed_cap: bool = True) -> 
     orientation = _tree_orientation(graph)
     if orientation is None:
         raise InvalidGraphError(f"graph {graph.name!r} is not an in-tree or out-tree")
-    root = graph.sources()[0] if orientation == "out" else graph.sinks()[0]
+    idx = graph.index()
+    roots = idx.in_degree if orientation == "out" else idx.out_degree
+    root = idx.names[int(np.flatnonzero(roots == 0)[0])]
     alpha = problem.power.alpha
     loads = tree_equivalent_loads(graph, alpha=alpha, direction=orientation)
     speeds: dict[str, float] = {}
@@ -191,6 +183,6 @@ def solve_tree(problem: MinEnergyProblem, *, enforce_speed_cap: bool = True) -> 
                 "use the general convex solver for this instance"
             )
     assignment = SpeedAssignment(speeds)
-    load = float(loads[graph.index().index_of[root]])
+    load = float(loads[idx.index_of[root]])
     return make_solution(problem, assignment, solver="continuous-tree",
                          optimal=True, metadata={"equivalent_load": load})

@@ -94,7 +94,8 @@ class MinEnergyProblem:
         s_max = self.model.max_speed
         if math.isinf(s_max):
             return 0.0
-        return longest_path_length(self.graph, weight=lambda n: self.graph.work(n) / s_max)
+        return longest_path_length(self.graph,
+                                   weight=self.graph.index().works / s_max)
 
     def is_feasible(self) -> bool:
         """Whether the deadline can be met at all (at maximum speed)."""

@@ -52,7 +52,8 @@ def check_assignment(problem: MinEnergyProblem, assignment: Assignment, *,
        segment speed is an admissible mode (Vdd-Hopping).
     """
     graph = problem.graph
-    task_names = set(graph.task_names())
+    names = graph.index().names
+    task_names = set(names)
     covered = set(assignment.tasks())
     missing = task_names - covered
     if missing:
@@ -62,7 +63,7 @@ def check_assignment(problem: MinEnergyProblem, assignment: Assignment, *,
         raise InvalidSolutionError(f"assignment covers unknown tasks: {sorted(extra)}")
 
     if isinstance(assignment, HoppingAssignment):
-        for n in graph.task_names():
+        for n in names:
             executed = assignment.executed_work(n)
             expected = graph.work(n)
             if not is_close(executed, expected, rel_tol=1e-6, abs_tol=1e-9 * max(1.0, expected)):
@@ -73,7 +74,7 @@ def check_assignment(problem: MinEnergyProblem, assignment: Assignment, *,
 
     durations = assignment.durations(graph)
     schedule = compute_schedule(graph, durations)
-    for n in graph.task_names():
+    for n in names:
         if not leq_with_tol(schedule.finish[n], problem.deadline, rel_tol=rel_tol):
             raise InvalidSolutionError(
                 f"task {n!r} completes at {schedule.finish[n]:g}, after the deadline "
@@ -85,7 +86,7 @@ def check_assignment(problem: MinEnergyProblem, assignment: Assignment, *,
 
     model = problem.model
     if isinstance(assignment, SpeedAssignment):
-        for n in graph.task_names():
+        for n in names:
             s = assignment.speed(n)
             if not model.is_admissible(s):
                 raise InvalidSolutionError(
@@ -96,7 +97,7 @@ def check_assignment(problem: MinEnergyProblem, assignment: Assignment, *,
         if not isinstance(model, VddHoppingModel):
             # A hopping assignment under a constant-speed model is only valid
             # when every task has a single segment.
-            for n in graph.task_names():
+            for n in names:
                 segs = [seg for seg in assignment.segments[n] if seg[1] > 0]
                 if len(segs) > 1:
                     raise InvalidSolutionError(
@@ -109,7 +110,7 @@ def check_assignment(problem: MinEnergyProblem, assignment: Assignment, *,
                         f"for the {model.name} model"
                     )
         else:
-            for n in graph.task_names():
+            for n in names:
                 for s, t in assignment.segments[n]:
                     if t > 0 and not model.is_admissible(s):
                         raise InvalidSolutionError(

@@ -131,8 +131,7 @@ def make_workload(spec: WorkloadSpec, model: EnergyModel | None = None) -> MinEn
     execution_graph = _build_execution(spec, graph)
     model = model or ContinuousModel(s_max=spec.s_max)
     min_makespan = longest_path_length(
-        execution_graph, weight=lambda n: execution_graph.work(n) / spec.s_max
-    )
+        execution_graph, weight=execution_graph.index().works / spec.s_max)
     deadline = spec.slack * min_makespan
     return MinEnergyProblem(
         graph=execution_graph, deadline=deadline, model=model,

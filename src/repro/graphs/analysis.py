@@ -44,7 +44,8 @@ def topological_order(graph: TaskGraph) -> list[str]:
 
 def longest_path_length(
     graph: TaskGraph,
-    weight: Callable[[str], float] | Mapping[str, float] | None = None,
+    weight: (Callable[[str], float] | Mapping[str, float] | np.ndarray
+             | None) = None,
 ) -> float:
     """Length of the longest (vertex-weighted) path.
 
@@ -53,9 +54,11 @@ def longest_path_length(
     graph:
         The task graph.
     weight:
-        Either a callable mapping a task name to its weight, a mapping, or
-        ``None`` to use the task work.  The weight of a path is the sum of
-        the weights of its vertices (both endpoints included).
+        A vector of weights in ``graph.index()`` order (the cheap form: no
+        per-task lookup, e.g. ``graph.index().works / s_max``), a callable
+        mapping a task name to its weight, a mapping, or ``None`` to use
+        the task work.  The weight of a path is the sum of the weights of
+        its vertices (both endpoints included).
 
     Returns
     -------
@@ -67,6 +70,12 @@ def longest_path_length(
     idx = graph.index()
     if weight is None:
         weights = idx.works
+    elif isinstance(weight, np.ndarray):
+        if weight.shape != (idx.n_tasks,):
+            raise InvalidGraphError(
+                f"weight vector has shape {weight.shape}, expected "
+                f"({idx.n_tasks},)")
+        weights = weight
     elif callable(weight):
         weights = np.fromiter((weight(n) for n in idx.names),
                               dtype=float, count=idx.n_tasks)

@@ -21,6 +21,12 @@ produces one of the structural classes the algorithms are sensitive to:
 
 Task works are drawn from a configurable distribution (uniform by default)
 so the weight heterogeneity the closed forms depend on is exercised.
+
+Every generator emits index-ordered arrays through
+:meth:`repro.graphs.taskgraph.TaskGraph.from_arrays`, so the graph gets its
+index without building the per-task dict layer.  The random draws, and
+their order, are those of one draw per task and per candidate edge; draws
+are batched only where that leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -29,11 +35,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.graphs.taskgraph import Task, TaskGraph
+from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError
 from repro.utils.rng import RngLike, make_rng
 
 WorkSampler = Callable[[np.random.Generator], float]
+
+#: Uniform draws per ``rng.random`` call of :func:`erdos_dag`: one call per
+#: block draws the same stream as one draw per pair, in bounded memory.
+_DRAW_BLOCK = 1 << 20
 
 
 def uniform_works(low: float = 1.0, high: float = 10.0) -> WorkSampler:
@@ -77,12 +87,9 @@ def chain(n: int, *, works: list[float] | None = None, seed: RngLike = None,
     w = works if works is not None else _sample_works(rng, n, work_sampler)
     if len(w) != n:
         raise InvalidGraphError(f"expected {n} works, got {len(w)}")
-    g = TaskGraph(name=name)
-    for i in range(n):
-        g.add_task(Task(f"T{i + 1}", float(w[i])))
-    for i in range(1, n):
-        g.add_edge(f"T{i}", f"T{i + 1}")
-    return g
+    order = np.arange(n)
+    return TaskGraph.from_arrays([f"T{i + 1}" for i in range(n)], w,
+                                 order[:-1], order[1:], name=name)
 
 
 def fork(n: int, *, source_work: float | None = None,
@@ -94,20 +101,9 @@ def fork(n: int, *, source_work: float | None = None,
     speeds under the Continuous model live in
     :func:`repro.continuous.fork.solve_fork`.
     """
-    if n < 1:
-        raise InvalidGraphError("a fork needs at least one leaf task")
-    rng = make_rng(seed)
-    leaf_works = works if works is not None else _sample_works(rng, n, work_sampler)
-    if len(leaf_works) != n:
-        raise InvalidGraphError(f"expected {n} leaf works, got {len(leaf_works)}")
-    if source_work is None:
-        source_work = _sample_works(rng, 1, work_sampler)[0]
-    g = TaskGraph(name=name)
-    g.add_task(Task("T0", float(source_work)))
-    for i in range(n):
-        g.add_task(Task(f"T{i + 1}", float(leaf_works[i])))
-        g.add_edge("T0", f"T{i + 1}")
-    return g
+    names, all_works, hub, leaves = _star(n, source_work, works, seed,
+                                          work_sampler)
+    return TaskGraph.from_arrays(names, all_works, hub, leaves, name=name)
 
 
 def join(n: int, *, sink_work: float | None = None,
@@ -118,14 +114,30 @@ def join(n: int, *, sink_work: float | None = None,
     By symmetry (time reversal) the optimal Continuous speeds are the same
     as for the fork with identical weights.
     """
-    g = fork(n, source_work=sink_work, works=works, seed=seed,
-             work_sampler=work_sampler, name=name)
-    reversed_g = TaskGraph(name=name)
-    for t in g.tasks():
-        reversed_g.add_task(t)
-    for u, v in g.edges():
-        reversed_g.add_edge(v, u)
-    return reversed_g
+    names, all_works, hub, leaves = _star(n, sink_work, works, seed,
+                                          work_sampler)
+    return TaskGraph.from_arrays(names, all_works, leaves, hub, name=name)
+
+
+def _star(n: int, hub_work: float | None, works: list[float] | None,
+          seed: RngLike, work_sampler: WorkSampler | None
+          ) -> tuple[list[str], list[float], np.ndarray, np.ndarray]:
+    """Tasks and edges of a fork: hub ``T0`` to leaves ``T1..Tn``.
+
+    The leaf works are drawn before the hub's; :func:`join` is the same
+    arrays with every edge turned round.
+    """
+    if n < 1:
+        raise InvalidGraphError("a fork needs at least one leaf task")
+    rng = make_rng(seed)
+    leaf_works = works if works is not None else _sample_works(rng, n, work_sampler)
+    if len(leaf_works) != n:
+        raise InvalidGraphError(f"expected {n} leaf works, got {len(leaf_works)}")
+    if hub_work is None:
+        hub_work = _sample_works(rng, 1, work_sampler)[0]
+    names = ["T0"] + [f"T{i + 1}" for i in range(n)]
+    return (names, [hub_work, *leaf_works], np.zeros(n, dtype=np.int64),
+            np.arange(1, n + 1))
 
 
 def fork_join(n: int, *, source_work: float | None = None,
@@ -143,15 +155,13 @@ def fork_join(n: int, *, source_work: float | None = None,
         source_work = _sample_works(rng, 1, work_sampler)[0]
     if sink_work is None:
         sink_work = _sample_works(rng, 1, work_sampler)[0]
-    g = TaskGraph(name=name)
-    g.add_task(Task("src", float(source_work)))
-    g.add_task(Task("snk", float(sink_work)))
-    for i in range(n):
-        tname = f"T{i + 1}"
-        g.add_task(Task(tname, float(mid[i])))
-        g.add_edge("src", tname)
-        g.add_edge(tname, "snk")
-    return g
+    middle = np.arange(2, n + 2)
+    ends = np.zeros(n, dtype=np.int64)
+    return TaskGraph.from_arrays(
+        ["src", "snk"] + [f"T{i + 1}" for i in range(n)],
+        [source_work, sink_work, *mid],
+        np.concatenate((ends, middle)), np.concatenate((middle, ends + 1)),
+        name=name)
 
 
 def diamond(rows: int, cols: int, *, seed: RngLike = None,
@@ -166,18 +176,14 @@ def diamond(rows: int, cols: int, *, seed: RngLike = None,
     if rows < 1 or cols < 1:
         raise InvalidGraphError("diamond dimensions must be positive")
     rng = make_rng(seed)
-    g = TaskGraph(name=name)
     sampler = work_sampler or uniform_works()
-    for i in range(rows):
-        for j in range(cols):
-            g.add_task(Task(f"T{i}_{j}", sampler(rng)))
-    for i in range(rows):
-        for j in range(cols):
-            if i + 1 < rows:
-                g.add_edge(f"T{i}_{j}", f"T{i + 1}_{j}")
-            if j + 1 < cols:
-                g.add_edge(f"T{i}_{j}", f"T{i}_{j + 1}")
-    return g
+    names = [f"T{i}_{j}" for i in range(rows) for j in range(cols)]
+    works = [sampler(rng) for _ in names]
+    cell = np.arange(rows * cols).reshape(rows, cols)
+    down, right = cell[:-1, :].ravel(), cell[:, :-1].ravel()
+    return TaskGraph.from_arrays(
+        names, works, np.concatenate((down, right)),
+        np.concatenate((down + cols, right + 1)), name=name)
 
 
 # --------------------------------------------------------------------------- #
@@ -205,14 +211,14 @@ def random_tree(n: int, *, seed: RngLike = None, max_children: int = 4,
         raise InvalidGraphError("max_children must be at least 1")
     rng = make_rng(seed)
     sampler = work_sampler or uniform_works()
-    g = TaskGraph(name=name)
-    g.add_task(Task("T1", sampler(rng)))
+    works = [sampler(rng)]
     # attach each new node to a uniformly random node that still has
     # capacity; the swap-remove list keeps the draw uniform over exactly
     # those nodes while staying O(1) per attachment (the previous
     # rebuild-the-candidate-list loop was O(n²) and took minutes at 10k)
     available = [0]
     child_count = [0] * n
+    parents = []
     for i in range(1, n):
         k = int(rng.integers(0, len(available)))
         parent = available[k]
@@ -221,12 +227,12 @@ def random_tree(n: int, *, seed: RngLike = None, max_children: int = 4,
             available[k] = available[-1]
             available.pop()
         available.append(i)
-        g.add_task(Task(f"T{i + 1}", sampler(rng)))
-        if direction == "out":
-            g.add_edge(f"T{parent + 1}", f"T{i + 1}")
-        else:
-            g.add_edge(f"T{i + 1}", f"T{parent + 1}")
-    return g
+        parents.append(parent)
+        works.append(sampler(rng))
+    children = np.arange(1, n)
+    src, dst = (parents, children) if direction == "out" else (children, parents)
+    return TaskGraph.from_arrays([f"T{i + 1}" for i in range(n)], works,
+                                 src, dst, name=name)
 
 
 def random_series_parallel(n: int, *, seed: RngLike = None,
@@ -248,29 +254,29 @@ def random_series_parallel(n: int, *, seed: RngLike = None,
         raise InvalidGraphError("series_probability must be in [0, 1]")
     rng = make_rng(seed)
     sampler = work_sampler or uniform_works()
-    g = TaskGraph(name=name)
-    counter = {"next": 1}
+    works: list[float] = []
+    src: list[int] = []
+    dst: list[int] = []
 
-    def build(budget: int) -> tuple[list[str], list[str]]:
+    def build(budget: int) -> tuple[list[int], list[int]]:
         """Build a sub-graph with ``budget`` tasks; return (sources, sinks)."""
         if budget == 1:
-            tname = f"T{counter['next']}"
-            counter["next"] += 1
-            g.add_task(Task(tname, sampler(rng)))
-            return [tname], [tname]
+            works.append(sampler(rng))
+            return [len(works) - 1], [len(works) - 1]
         left_budget = int(rng.integers(1, budget))
         right_budget = budget - left_budget
         left_src, left_snk = build(left_budget)
         right_src, right_snk = build(right_budget)
         if rng.random() < series_probability:
             for u in left_snk:
-                for v in right_src:
-                    g.add_edge(u, v)
+                src.extend([u] * len(right_src))
+                dst.extend(right_src)
             return left_src, right_snk
         return left_src + right_src, left_snk + right_snk
 
     build(n)
-    return g
+    return TaskGraph.from_arrays([f"T{i + 1}" for i in range(n)], works,
+                                 src, dst, name=name)
 
 
 def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
@@ -300,28 +306,23 @@ def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
     sizes = [1] * layers
     for k in rng.integers(0, layers, size=n - layers).tolist():
         sizes[k] += 1
-    g = TaskGraph(name=name)
-    layer_tasks: list[list[str]] = []
-    tid = 1
-    for size in sizes:
-        current: list[str] = []
-        for _ in range(size):
-            tname = f"T{tid}"
-            tid += 1
-            g.add_task(Task(tname, sampler(rng)))
-            current.append(tname)
-        layer_tasks.append(current)
+    works = [sampler(rng) for _ in range(n)]  # layer by layer, in task order
+    starts = np.cumsum([0] + sizes).tolist()
+    src: list[int] = []
+    dst: list[int] = []
     for k in range(1, layers):
-        prev = layer_tasks[k - 1]
-        for v in layer_tasks[k]:
+        prev = range(starts[k - 1], starts[k])
+        for v in range(starts[k], starts[k + 1]):
             # ensure connectivity to the previous layer
             forced = prev[int(rng.integers(0, len(prev)))]
-            g.add_edge(forced, v)
-            draws = iter(rng.random(len(prev) - 1).tolist())
-            for u in prev:
-                if u != forced and next(draws) < edge_probability:
-                    g.add_edge(u, v)
-    return g
+            draws = rng.random(len(prev) - 1).tolist()
+            chosen = [u for u, r in zip((u for u in prev if u != forced), draws)
+                      if r < edge_probability]
+            src.append(forced)
+            src.extend(chosen)
+            dst.extend([v] * (1 + len(chosen)))
+    return TaskGraph.from_arrays([f"T{i + 1}" for i in range(n)], works,
+                                 src, dst, name=name)
 
 
 def erdos_dag(n: int, *, seed: RngLike = None, edge_probability: float = 0.15,
@@ -340,16 +341,20 @@ def erdos_dag(n: int, *, seed: RngLike = None, edge_probability: float = 0.15,
         raise InvalidGraphError("edge_probability must be in [0, 1]")
     rng = make_rng(seed)
     sampler = work_sampler or uniform_works()
-    g = TaskGraph(name=name)
-    names = [f"T{i + 1}" for i in range(n)]
-    for tname in names:
-        g.add_task(Task(tname, sampler(rng)))
-    perm = list(rng.permutation(n))
-    for a in range(n):
-        # one batch per a draws the same stream as one draw per pair
-        for b in np.flatnonzero(rng.random(n - a - 1) < edge_probability):
-            g.add_edge(names[perm[a]], names[perm[a + 1 + b]])
-    return g
+    works = [sampler(rng) for _ in range(n)]
+    perm = rng.permutation(n)
+    # pair (a, b), a < b, takes draw row_start[a] + b - a - 1: the pairs in
+    # row-major order, as one draw per pair would take them
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    pairs = n * (n - 1) // 2
+    hits = np.concatenate([
+        lo + np.flatnonzero(rng.random(min(_DRAW_BLOCK, pairs - lo))
+                            < edge_probability)
+        for lo in range(0, pairs, _DRAW_BLOCK)] or [np.zeros(0, np.int64)])
+    a = np.searchsorted(row_start, hits, side="right") - 1
+    b = hits - row_start[a] + a + 1
+    return TaskGraph.from_arrays([f"T{i + 1}" for i in range(n)], works,
+                                 perm[a], perm[b], name=name)
 
 
 #: Registry of graph-class constructors used by the experiment harness.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.graphs.taskgraph import Task, TaskGraph
+from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError
 
 
@@ -28,18 +28,32 @@ def graph_to_dict(graph: TaskGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
-    """Deserialise a graph previously produced by :func:`graph_to_dict`."""
+    """Deserialise a graph previously produced by :func:`graph_to_dict`.
+
+    Task names and edge endpoints are read as strings and resolved to
+    indices here; :meth:`TaskGraph.from_arrays` checks the rest (names,
+    works, self-loops, cycles), so the graph comes back indexed and
+    without its dict layer.
+    """
     if "tasks" not in data:
         raise InvalidGraphError("graph dictionary is missing the 'tasks' key")
-    graph = TaskGraph(name=str(data.get("name", "taskgraph")))
-    for name, work in data["tasks"].items():
-        graph.add_task(Task(str(name), float(work)))
+    tasks = data["tasks"]
+    names = [str(name) for name in tasks]
+    index_of = {name: i for i, name in enumerate(names)}
+    src: list[int] = []
+    dst: list[int] = []
     for edge in data.get("edges", []):
         if len(edge) != 2:
             raise InvalidGraphError(f"malformed edge entry: {edge!r}")
-        graph.add_edge(str(edge[0]), str(edge[1]))
-    graph.validate()
-    return graph
+        source, target = str(edge[0]), str(edge[1])
+        if source not in index_of:
+            raise InvalidGraphError(f"unknown source task {source!r}")
+        if target not in index_of:
+            raise InvalidGraphError(f"unknown target task {target!r}")
+        src.append(index_of[source])
+        dst.append(index_of[target])
+    return TaskGraph.from_arrays(names, list(tasks.values()), src, dst,
+                                 name=str(data.get("name", "taskgraph")))
 
 
 def graph_to_json(graph: TaskGraph, *, indent: int | None = 2) -> str:

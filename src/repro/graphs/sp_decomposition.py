@@ -204,17 +204,19 @@ def sp_decompose(graph: TaskGraph) -> SPNode:
     if graph.n_tasks == 0:
         raise InvalidGraphError("cannot decompose an empty graph")
     closure = descendant_bitsets(graph)
-    index_of = graph.index().index_of
+    idx = graph.index()
+    index_of = idx.index_of
+    works = idx.works.tolist()
     n_words = closure.shape[1]
 
     root_holder: list[SPNode | None] = [None]
     # each entry: (nodes, container list, slot to fill)
-    stack: list[tuple[list[str], list, int]] = [(graph.task_names(), root_holder, 0)]
+    stack: list[tuple[list[str], list, int]] = [(list(idx.names), root_holder, 0)]
     while stack:
         nodes, container, slot = stack.pop()
         if len(nodes) == 1:
             name = nodes[0]
-            container[slot] = SPLeaf(task=name, work=graph.work(name))
+            container[slot] = SPLeaf(task=name, work=works[index_of[name]])
             continue
         components = _weak_components(graph, nodes)
         if len(components) > 1:

@@ -9,11 +9,21 @@ obtained after mapping (the latter simply carries extra "processor" edges
 and is represented by :class:`repro.mapping.execution_graph.ExecutionGraph`,
 which wraps a ``TaskGraph``).
 
-The implementation deliberately avoids depending on :mod:`networkx` for the
-core container (adjacency is kept in plain dictionaries) so that the hot
-paths of the solvers work on simple, predictable structures; conversion
-helpers to/from networkx are provided for interoperability and for reusing
-its generators in tests.
+A graph has two layers.  The :class:`GraphIndex` (names, works, CSR
+adjacency, topological order and levels as read-only NumPy arrays) is what
+every hot solver path reads.  The dict layer (one :class:`Task` per task
+and successor/predecessor sets) backs the name-based queries and the
+mutations.  A graph built task by task (:meth:`TaskGraph.add_task`,
+:meth:`TaskGraph.add_edge`) derives its index from the dicts on first use;
+a graph built by :meth:`TaskGraph.from_arrays`, as every generator of
+:mod:`repro.graphs.generators` does, gets its index straight from the
+arrays and builds the dicts only when a method first reads them, so
+planning a sweep never pays for them.  Both routes go through one index
+builder and give equal indexes for equal graphs.
+
+The container does not depend on :mod:`networkx`; conversion helpers
+to/from networkx are provided for interoperability and for reusing its
+generators in tests.
 """
 
 from __future__ import annotations
@@ -22,10 +32,11 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.utils.errors import InvalidGraphError
 
@@ -104,6 +115,20 @@ class GraphIndex:
         digest.update(self.succ_ptr.tobytes())
         digest.update(self.succ_idx.tobytes())
         return digest.hexdigest()
+
+    @cached_property
+    def in_degree(self) -> np.ndarray:
+        """Number of predecessors of every task."""
+        degree = np.diff(self.pred_ptr)
+        degree.setflags(write=False)
+        return degree
+
+    @cached_property
+    def out_degree(self) -> np.ndarray:
+        """Number of successors of every task."""
+        degree = np.diff(self.succ_ptr)
+        degree.setflags(write=False)
+        return degree
 
     @cached_property
     def topo_position(self) -> np.ndarray:
@@ -205,46 +230,50 @@ class GraphIndex:
         return {name: float(vector[i]) for i, name in enumerate(self.names)}
 
 
-def _build_index(graph: "TaskGraph") -> GraphIndex:
-    """Construct the CSR index, topological order and levels of a graph."""
-    names = tuple(graph._tasks)
-    n = len(names)
-    index_of = {name: i for i, name in enumerate(names)}
-    works = np.fromiter((t.work for t in graph._tasks.values()),
-                        dtype=float, count=n)
+def _build_index(names: tuple[str, ...], works: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, *, graph_name: str) -> GraphIndex:
+    """Construct the CSR index, topological order and levels of a graph.
 
-    position = index_of.__getitem__
-    preds = [sorted(map(position, graph._pred[name])) for name in names]
-    succs = [sorted(map(position, graph._succ[name])) for name in names]
-    indeg = [len(p) for p in preds]
+    ``names`` and ``works`` are in index order and edge ``k`` runs from
+    ``src[k]`` to ``dst[k]`` (indices; duplicates allowed, they collapse).
+    Both construction routes of :class:`TaskGraph` end here, so a graph
+    built task by task and the same graph built from arrays share one
+    index, and one :meth:`GraphIndex.structure_hash`.
+    """
+    n = len(names)
+    index_of = dict(zip(names, range(n)))
+    # one sort orders the edges by (source, target), so every CSR row comes
+    # out sorted, and lines duplicates up to collapse them
+    key = np.sort(src * n + dst)
+    distinct = np.ones(len(key), dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    src, dst = np.divmod(key[distinct], max(n, 1))
+    indeg = np.bincount(dst, minlength=n)
     pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    pred_ptr[1:] = np.cumsum(indeg)
+    np.cumsum(indeg, out=pred_ptr[1:])
+    pred_idx = src[np.argsort(dst, kind="stable")]
     succ_ptr = np.zeros(n + 1, dtype=np.int64)
-    succ_ptr[1:] = np.cumsum([len(s) for s in succs])
-    pred_idx = np.fromiter(chain.from_iterable(preds), dtype=np.int64,
-                           count=int(pred_ptr[-1]))
-    succ_idx = np.fromiter(chain.from_iterable(succs), dtype=np.int64,
-                           count=int(succ_ptr[-1]))
+    np.cumsum(np.bincount(src, minlength=n), out=succ_ptr[1:])
+    succ_idx = dst
 
     # Kahn topological order (FIFO over insertion order) and levels in one
-    # pass, on Python lists; a cycle leaves the order short, and we raise
-    # so every cached index is a valid DAG view.
-    order_list = [i for i in range(n) if indeg[i] == 0]
+    # pass, on Python lists (the loop runs over the queue as it grows); a
+    # cycle leaves the order short, and we raise so every cached index is a
+    # valid DAG view.  FIFO order visits tasks level by level, so the
+    # predecessor that releases a task has the deepest level of them all.
+    ptr, succ, remaining = succ_ptr.tolist(), succ_idx.tolist(), indeg.tolist()
+    order_list = [i for i in range(n) if remaining[i] == 0]
     level_list = [0] * n
-    head = 0
-    while head < len(order_list):
-        u = order_list[head]
-        head += 1
+    for u in order_list:
         lv = level_list[u] + 1
-        for v in succs[u]:
-            indeg[v] -= 1
-            if lv > level_list[v]:
+        for v in succ[ptr[u]:ptr[u + 1]]:
+            remaining[v] -= 1
+            if not remaining[v]:
                 level_list[v] = lv
-            if indeg[v] == 0:
                 order_list.append(v)
     if len(order_list) != n:
         raise InvalidGraphError(
-            f"graph {graph.name!r} contains a cycle "
+            f"graph {graph_name!r} contains a cycle "
             f"({n - len(order_list)} tasks unreachable in topological sort)"
         )
     order = np.array(order_list, dtype=np.int64)
@@ -256,15 +285,11 @@ def _build_index(graph: "TaskGraph") -> GraphIndex:
     level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
     np.cumsum(level_counts[:n_levels], out=level_ptr[1:])
 
-    m = int(succ_ptr[-1])
-    edge_src = np.repeat(np.arange(n, dtype=np.int64),
-                         succ_ptr[1:] - succ_ptr[:-1])
-    edge_dst = succ_idx.copy()
-    by_dst_level = np.argsort(level[edge_dst], kind="stable")
-    edge_src = edge_src[by_dst_level]
-    edge_dst = edge_dst[by_dst_level]
+    by_dst_level = np.argsort(level[dst], kind="stable")
+    edge_src = src[by_dst_level]
+    edge_dst = dst[by_dst_level]
     edge_level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    if m:
+    if len(dst):
         edge_counts = np.bincount(level[edge_dst], minlength=n_levels)
         np.cumsum(edge_counts, out=edge_level_ptr[1:])
 
@@ -280,6 +305,10 @@ def _build_index(graph: "TaskGraph") -> GraphIndex:
         order_by_level=order_by_level, level_ptr=level_ptr,
         edge_src=edge_src, edge_dst=edge_dst, edge_level_ptr=edge_level_ptr,
     )
+
+
+#: ``(names, works, src, dst)`` of a graph built by :meth:`TaskGraph.from_arrays`.
+_Arrays = tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -314,7 +343,9 @@ class TaskGraph:
 
     The class maintains predecessor and successor adjacency maps and checks
     acyclicity lazily (on :meth:`validate` and on the analysis functions that
-    need a topological order).
+    need a topological order).  :meth:`from_arrays` builds the same graph
+    from index-ordered arrays, checked at once, with the maps built on
+    first read.
 
     Parameters
     ----------
@@ -338,6 +369,7 @@ class TaskGraph:
         self._tasks: dict[str, Task] = {}
         self._succ: dict[str, set[str]] = {}
         self._pred: dict[str, set[str]] = {}
+        self._arrays: _Arrays | None = None
         self._index: GraphIndex | None = None
         for t in tasks:
             if isinstance(t, tuple):
@@ -345,6 +377,117 @@ class TaskGraph:
             self.add_task(t)
         for u, v in edges:
             self.add_edge(u, v)
+
+    @classmethod
+    def from_arrays(cls, names: Sequence[str], works: ArrayLike,
+                    src: ArrayLike, dst: ArrayLike, *,
+                    name: str = "taskgraph") -> "TaskGraph":
+        """Build a graph straight from index-ordered arrays.
+
+        Task ``i`` is ``names[i]`` with work ``works[i]``; edge ``k`` runs
+        from task ``src[k]`` to task ``dst[k]`` (duplicates collapse, as
+        with :meth:`add_edge`).  The :class:`GraphIndex` is built at once
+        from the arrays, so a cycle raises here; the dictionaries and
+        :class:`Task` objects are only built when a method first reads
+        them.  The index, and so :meth:`structure_hash`, equals that of the
+        graph :meth:`add_task`/:meth:`add_edge` build from the same data.
+
+        Raises
+        ------
+        InvalidGraphError
+            On an empty, non-string or duplicate name, a work that is not
+            finite and strictly positive, an edge endpoint out of range, a
+            self-loop or a cycle.
+        """
+        names = tuple(names)
+        n = len(names)
+        try:
+            works_arr = np.array(works, dtype=np.float64)
+            src_arr = np.array(src, dtype=np.int64)
+            dst_arr = np.array(dst, dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidGraphError(f"graph arrays must be numeric: {exc}") from exc
+        if works_arr.shape != (n,):
+            raise InvalidGraphError(
+                f"expected {n} works, got an array of shape {works_arr.shape}")
+        if src_arr.ndim != 1 or src_arr.shape != dst_arr.shape:
+            raise InvalidGraphError(
+                "src and dst must be vectors of one length, got shapes "
+                f"{src_arr.shape} and {dst_arr.shape}")
+        for task_name in names:
+            if not isinstance(task_name, str) or not task_name:
+                raise InvalidGraphError(
+                    f"task name must be a non-empty string, got {task_name!r}")
+        if len(set(names)) != n:
+            duplicate = next(t for i, t in enumerate(names) if t in names[:i])
+            raise InvalidGraphError(f"duplicate task name {duplicate!r}")
+        bad = np.flatnonzero(~((works_arr > 0) & (works_arr < np.inf)))
+        if len(bad):
+            i = int(bad[0])
+            raise InvalidGraphError(
+                f"task {names[i]!r} must have a finite, strictly positive "
+                f"work, got {float(works_arr[i])}")
+        outside = np.flatnonzero((src_arr < 0) | (src_arr >= n)
+                                 | (dst_arr < 0) | (dst_arr >= n))
+        if len(outside):
+            k = int(outside[0])
+            raise InvalidGraphError(
+                f"edge {src_arr[k]} -> {dst_arr[k]} has an endpoint outside "
+                f"the {n} tasks")
+        loops = np.flatnonzero(src_arr == dst_arr)
+        if len(loops):
+            raise InvalidGraphError(
+                f"self-loop on task {names[int(src_arr[loops[0]])]!r}")
+        for arr in (works_arr, src_arr, dst_arr):
+            arr.setflags(write=False)
+        graph = cls.__new__(cls)
+        graph.name = name
+        graph._arrays = (names, works_arr, src_arr, dst_arr)
+        graph._index = None
+        graph.index()
+        return graph
+
+    def __getattr__(self, attr: str) -> Any:
+        # reached only when ordinary lookup fails: the first read of the
+        # dict layer of a graph built (or unpickled) from arrays; any other
+        # miss gets the usual AttributeError from the second lookup
+        if (attr in ("_tasks", "_succ", "_pred")
+                and self.__dict__.get("_arrays") is not None):
+            self._build_dicts()
+        return object.__getattribute__(self, attr)
+
+    def _build_dicts(self) -> None:
+        """Build the dict layer of an array-built graph from its arrays.
+
+        The graph then keeps the dicts and its index (still valid) and
+        drops the arrays, so from here on it mutates and pickles like a
+        graph built task by task.
+        """
+        arrays = self._arrays
+        if arrays is None:  # another thread built them meanwhile
+            return
+        names, works, src, dst = arrays
+        succ: dict[str, set[str]] = {t: set() for t in names}
+        pred: dict[str, set[str]] = {t: set() for t in names}
+        for u, v in zip(src.tolist(), dst.tolist()):
+            succ[names[u]].add(names[v])
+            pred[names[v]].add(names[u])
+        self._succ, self._pred = succ, pred
+        self._tasks = {t: Task(t, w) for t, w in zip(names, works.tolist())}
+        self._arrays = None
+
+    def _dict_arrays(self) -> _Arrays:
+        """``(names, works, src, dst)`` of the dict layer, in insertion order."""
+        names = tuple(self._tasks)
+        position = dict(zip(names, range(len(names)))).__getitem__
+        works = np.fromiter((t.work for t in self._tasks.values()),
+                            dtype=np.float64, count=len(names))
+        succs = [self._succ[t] for t in names]
+        src = np.repeat(np.arange(len(names), dtype=np.int64),
+                        [len(s) for s in succs])
+        dst = np.fromiter(chain.from_iterable(map(position, s) for s in succs),
+                          dtype=np.int64, count=len(src))
+        return names, works, src, dst
 
     # ------------------------------------------------------------------ #
     # construction
@@ -393,7 +536,7 @@ class TaskGraph:
     @property
     def n_tasks(self) -> int:
         """Number of tasks."""
-        return len(self._tasks)
+        return len(self)
 
     @property
     def n_edges(self) -> int:
@@ -434,7 +577,8 @@ class TaskGraph:
         return iter(self._tasks)
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        arrays = self._arrays
+        return len(self._tasks if arrays is None else arrays[0])
 
     def has_edge(self, source: str, target: str) -> bool:
         """Whether the precedence edge ``source -> target`` exists."""
@@ -495,7 +639,8 @@ class TaskGraph:
             valid DAG).
         """
         if self._index is None:
-            self._index = _build_index(self)
+            arrays = self._dict_arrays() if self._arrays is None else self._arrays
+            self._index = _build_index(*arrays, graph_name=self.name)
         return self._index
 
     def structure_hash(self) -> str:
@@ -601,7 +746,8 @@ class TaskGraph:
         """Pickle without the cached index (rebuilt lazily on first use).
 
         Keeps payloads lean when problems are shipped to worker processes by
-        :func:`repro.batch.solve_many`.
+        :func:`repro.batch.solve_many`: a graph whose dict layer was never
+        built pickles as its four arrays.
         """
         state = self.__dict__.copy()
         state["_index"] = None

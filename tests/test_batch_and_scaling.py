@@ -320,6 +320,45 @@ class TestSweep:
         assert all(s.startswith("discrete-") for s in table.column("solver"))
 
 
+class TestSolvePathsSkipTheDictLayer:
+    """Generated graphs are planned, solved, validated and cached through
+    their index alone: none of it builds the per-task dict layer."""
+
+    @staticmethod
+    def _refuse(graph):
+        raise AssertionError(f"the dict layer of {graph.name!r} was built")
+
+    def test_sweep_and_warm_rerun_build_no_dicts(self, tmp_path, monkeypatch):
+        from repro.batch import rows_signature
+        from repro.cache import disk_cache
+
+        # the graph classes of the repository benchmark's sweep_grid
+        grid = dict(graph_classes=("chain", "fork", "tree", "series_parallel",
+                                   "erdos"),
+                    sizes=(24, 96), slacks=(1.2, 2.0), s_max=float("inf"),
+                    seed=3)
+        cache = disk_cache(tmp_path)
+        monkeypatch.setattr(TaskGraph, "_build_dicts", self._refuse)
+        cold = sweep(**grid, cache=cache)  # in-process: plan, solve, check, put
+        assert sweep_failures(cold) == []
+        warm = sweep(**grid, cache=cache)
+        assert all(warm.column("cache_hit")) and all(warm.column("ok"))
+        assert rows_signature(warm) == rows_signature(cold)
+
+    @pytest.mark.parametrize("graph_class", ["layered", "erdos", "chain", "fork",
+                                             "join", "tree", "series_parallel",
+                                             "diamond"])
+    @pytest.mark.parametrize("s_max", [1.0, float("inf")])
+    def test_solve_builds_no_dicts(self, graph_class, s_max, monkeypatch):
+        monkeypatch.setattr(TaskGraph, "_build_dicts", self._refuse)
+        for n in (1, 24, 60):
+            graph = generators.GRAPH_CLASSES[graph_class](n, seed=n)
+            deadline = 1.5 * longest_path_length(graph)
+            problem = MinEnergyProblem(graph=graph, deadline=deadline,
+                                       model=ContinuousModel(s_max=s_max))
+            check_solution(solve(problem))
+
+
 class TestCliSweep:
     def test_cli_sweep_csv(self, capsys):
         from repro.cli import main

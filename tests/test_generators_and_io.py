@@ -162,6 +162,155 @@ class TestGenerators:
                     assert [g.work(t) for t in g.task_names()] == works
                     assert sorted(g.edges()) == sorted(edges)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 97])
+    @pytest.mark.parametrize("sampler", ["default", "custom"])
+    def test_array_generators_match_one_draw_per_call(self, n, sampler):
+        # the generators as they were built task by task: one draw per
+        # work and per structural choice, in this order, through
+        # add_task/add_edge; the array route must reproduce every stream
+        import numpy as np
+
+        from repro.utils.rng import make_rng
+
+        def custom(rng):
+            # two draws of two kinds, so any reordering shows
+            return 1.0 + float(rng.integers(1, 4)) * rng.random()
+
+        ws = None if sampler == "default" else custom
+        draw = ws or generators.uniform_works()
+
+        def build(tasks, edges):
+            g = TaskGraph()
+            for name, work in tasks:
+                g.add_task(name, work)
+            for u, v in edges:
+                g.add_edge(u, v)
+            return g
+
+        def chain(seed, works=None):
+            rng = make_rng(seed)
+            w = works if works is not None else [draw(rng) for _ in range(n)]
+            return build([(f"T{i + 1}", w[i]) for i in range(n)],
+                         [(f"T{i}", f"T{i + 1}") for i in range(1, n)])
+
+        def star(seed, reverse, works=None, hub=None):
+            rng = make_rng(seed)
+            leaves = works if works is not None else [draw(rng) for _ in range(n)]
+            hub = hub if hub is not None else draw(rng)
+            edges = [("T0", f"T{i + 1}") for i in range(n)]
+            return build([("T0", hub)] + [(f"T{i + 1}", w) for i, w in enumerate(leaves)],
+                         [(v, u) for u, v in edges] if reverse else edges)
+
+        def fork_join(seed):
+            rng = make_rng(seed)
+            mid = [draw(rng) for _ in range(n)]
+            source, sink = draw(rng), draw(rng)
+            return build([("src", source), ("snk", sink)]
+                         + [(f"T{i + 1}", w) for i, w in enumerate(mid)],
+                         [e for i in range(n) for e in (("src", f"T{i + 1}"),
+                                                         (f"T{i + 1}", "snk"))])
+
+        def tree(seed, direction):
+            rng = make_rng(seed)
+            tasks, edges = [("T1", draw(rng))], []
+            available, child_count = [0], [0] * n
+            for i in range(1, n):
+                k = int(rng.integers(0, len(available)))
+                parent = available[k]
+                child_count[parent] += 1
+                if child_count[parent] >= 4:
+                    available[k] = available[-1]
+                    available.pop()
+                available.append(i)
+                tasks.append((f"T{i + 1}", draw(rng)))
+                edge = (f"T{parent + 1}", f"T{i + 1}")
+                edges.append(edge if direction == "out" else edge[::-1])
+            return build(tasks, edges)
+
+        def series_parallel(seed):
+            rng = make_rng(seed)
+            tasks, edges = [], []
+
+            def split(budget):
+                if budget == 1:
+                    tasks.append((f"T{len(tasks) + 1}", draw(rng)))
+                    return [tasks[-1][0]], [tasks[-1][0]]
+                left = int(rng.integers(1, budget))
+                left_src, left_snk = split(left)
+                right_src, right_snk = split(budget - left)
+                if rng.random() < 0.5:
+                    edges.extend((u, v) for u in left_snk for v in right_src)
+                    return left_src, right_snk
+                return left_src + right_src, left_snk + right_snk
+
+            split(n)
+            return build(tasks, edges)
+
+        def diamond(seed, rows, cols):
+            rng = make_rng(seed)
+            tasks = [(f"T{i}_{j}", draw(rng)) for i in range(rows) for j in range(cols)]
+            edges = [(f"T{i}_{j}", f"T{i + di}_{j + dj}")
+                     for i in range(rows) for j in range(cols)
+                     for di, dj in ((1, 0), (0, 1)) if i + di < rows and j + dj < cols]
+            return build(tasks, edges)
+
+        explicit = [float(w) for w in np.linspace(1.0, 3.0, n)]
+        rows, cols = max(1, n // 5), 5
+        for seed in range(3):
+            pairs = [
+                (generators.chain(n, seed=seed, work_sampler=ws), chain(seed)),
+                (generators.chain(n, works=explicit), chain(seed, explicit)),
+                (generators.fork(n, seed=seed, work_sampler=ws), star(seed, False)),
+                (generators.fork(n, works=explicit, source_work=2.5, seed=seed),
+                 star(seed, False, explicit, 2.5)),
+                (generators.join(n, seed=seed, work_sampler=ws), star(seed, True)),
+                (generators.join(n, works=explicit, seed=seed, work_sampler=ws),
+                 star(seed, True, explicit)),
+                (generators.fork_join(n, seed=seed, work_sampler=ws), fork_join(seed)),
+                (generators.random_tree(n, seed=seed, work_sampler=ws), tree(seed, "out")),
+                (generators.random_tree(n, seed=seed, work_sampler=ws, direction="in"),
+                 tree(seed, "in")),
+                (generators.random_series_parallel(n, seed=seed, work_sampler=ws),
+                 series_parallel(seed)),
+                (generators.diamond(rows, cols, seed=seed, work_sampler=ws),
+                 diamond(seed, rows, cols)),
+            ]
+            for g, reference in pairs:
+                assert [(t.name, t.work) for t in g.tasks()] == \
+                    [(t.name, t.work) for t in reference.tasks()]
+                assert g.edges() == reference.edges()
+                assert g.structure_hash() == reference.structure_hash()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_erdos_draw_blocks_keep_the_stream(self, block, monkeypatch):
+        # blocks that end mid-row draw the same stream as one call
+        whole = [generators.erdos_dag(40, seed=seed, edge_probability=0.3)
+                 for seed in range(3)]
+        monkeypatch.setattr(generators, "_DRAW_BLOCK", block)
+        for seed, g in enumerate(whole):
+            again = generators.erdos_dag(40, seed=seed, edge_probability=0.3)
+            assert again.structure_hash() == g.structure_hash()
+
+    #: (class, n, seed) -> structure hash of the generated graph, as the
+    #: generators drew them one task and one edge at a time
+    PINNED_HASHES = {
+        ("chain", 7, 0): "1ffa5309c416cbc6828fe8259ebdc0f75091d8f4d79c5fbb8f52badb56a51ba4",
+        ("fork", 24, 1): "e54390e2fd86c5aa2418acbe88178e164e37b4b10b6528684767ccfd3d629bde",
+        ("join", 24, 1): "24e19af9be70765400a3542726728ead0d5cc73845aa896970704c5d1dbda576",
+        ("fork_join", 7, 2): "98cc6301aee5951ab177a1d67a77a6aff92c2676a675736a3802e38068def87e",
+        ("tree", 96, 3): "6a96590aecc1a199ef8172cb33f0018b3baa9c1b121913cc6ddebccd6c15c467",
+        ("series_parallel", 96, 0): "3b6782aa7de956897cc469f84c956ebd5460b50bd88109bf7d161b55b381d164",
+        ("layered", 96, 1): "f3be79933c1211bf2b51c8b097c1bda83e4249c6216d9a7b6f75220403b26c8f",
+        ("erdos", 24, 2): "ed15c7ef84dd7fa03e71069fe9dd9aa0110eadb208e20c47d5a595b09e9c049b",
+        ("diamond", 24, 3): "7a39e3560f416ba0aca3fa708f00780c39d1f0fd3069679eed095aee56967616",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_HASHES))
+    def test_pinned_structure_hashes(self, key):
+        graph_class, n, seed = key
+        g = generators.GRAPH_CLASSES[graph_class](n, seed=seed)
+        assert g.structure_hash() == self.PINNED_HASHES[key]
+
     def test_generators_are_reproducible(self):
         a = generators.layered_dag(20, seed=42)
         b = generators.layered_dag(20, seed=42)
@@ -291,6 +440,31 @@ class TestSerialisation:
     def test_from_dict_malformed_edge(self):
         with pytest.raises(InvalidGraphError):
             graph_from_dict({"tasks": {"A": 1.0}, "edges": [["A"]]})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"edges": []}, "graph dictionary is missing the 'tasks' key"),
+        ({"tasks": {"A": 1.0}, "edges": [["A"]]}, "malformed edge entry: ['A']"),
+        ({"tasks": {"A": 1.0}, "edges": [["A", "B"]]}, "unknown target task 'B'"),
+        ({"tasks": {"A": 1.0}, "edges": [["B", "A"]]}, "unknown source task 'B'"),
+        ({"tasks": {"A": 1.0}, "edges": [["A", "A"]]}, "self-loop on task 'A'"),
+        ({"tasks": {"A": -1.0}},
+         "task 'A' must have a finite, strictly positive work, got -1.0"),
+        ({"tasks": {"A": "x"}}, "graph arrays must be numeric"),
+        ({"tasks": {"": 1.0}}, "task name must be a non-empty string, got ''"),
+        ({"name": "g", "tasks": {"A": 1, "B": 2}, "edges": [["A", "B"], ["B", "A"]]},
+         "graph 'g' contains a cycle (2 tasks unreachable in topological sort)"),
+    ])
+    def test_from_dict_typed_errors(self, data, message):
+        with pytest.raises(InvalidGraphError) as excinfo:
+            graph_from_dict(data)
+        assert message in str(excinfo.value)
+
+    def test_from_dict_builds_from_arrays(self):
+        g = generators.erdos_dag(20, seed=3)
+        back = graph_from_dict(graph_to_dict(g))
+        assert "_tasks" not in vars(back)
+        assert back.name == g.name
+        assert back.structure_hash() == g.structure_hash()
 
     def test_from_json_invalid_text(self):
         with pytest.raises(InvalidGraphError):

@@ -168,6 +168,130 @@ class TestTaskGraphConstruction:
         assert g.n_tasks == 2 and g.has_edge("A", "B")
 
 
+INDEX_ARRAYS = ("works", "pred_ptr", "pred_idx", "succ_ptr", "succ_idx",
+                "topo_order", "level", "order_by_level", "level_ptr",
+                "edge_src", "edge_dst", "edge_level_ptr")
+
+
+def _rebuilt_task_by_task(graph: TaskGraph) -> TaskGraph:
+    """The same graph through add_task/add_edge, edges in reverse order
+    and each added twice."""
+    idx = graph.index()
+    rebuilt = TaskGraph(name=graph.name)
+    for name, work in zip(idx.names, idx.works.tolist()):
+        rebuilt.add_task(name, work)
+    pairs = list(zip(idx.edge_src.tolist(), idx.edge_dst.tolist()))[::-1]
+    for u, v in pairs + pairs:
+        rebuilt.add_edge(idx.names[u], idx.names[v])
+    return rebuilt
+
+
+class TestFromArrays:
+    @pytest.mark.parametrize("graph_class", sorted(generators.GRAPH_CLASSES))
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_equals_the_task_by_task_route(self, graph_class, n):
+        g = generators.GRAPH_CLASSES[graph_class](n, seed=n)
+        assert "_tasks" not in vars(g)  # the generators build from arrays
+        h = _rebuilt_task_by_task(g)
+        gi, hi = g.index(), h.index()
+        assert gi.names == hi.names
+        assert dict(gi.index_of) == dict(hi.index_of)
+        for field in INDEX_ARRAYS:
+            a, b = getattr(gi, field), getattr(hi, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        assert g.structure_hash() == h.structure_hash()
+        assert g.edges() == h.edges()
+        assert g.sources() == h.sources() and g.sinks() == h.sinks()
+        for name in gi.names:
+            assert g.successors(name) == h.successors(name)
+            assert g.predecessors(name) == h.predecessors(name)
+            assert g.work(name) == h.work(name)
+
+    def test_counts_do_not_build_the_dicts(self):
+        g = generators.layered_dag(40, seed=3)
+        assert g.n_tasks == len(g) == 40
+        assert g.index().n_edges > 0
+        assert "_tasks" not in vars(g)
+        assert g.task_names()[:2] == ["T1", "T2"]  # the first read builds them
+        assert "_tasks" in vars(g)
+
+    def test_pickle_carries_the_arrays(self):
+        import pickle
+
+        g = generators.erdos_dag(30, seed=4)
+        payload = pickle.dumps(g)
+        assert b"_tasks" not in payload and b"_succ" not in payload
+        back = pickle.loads(payload)
+        assert "_tasks" not in vars(back)
+        assert back.name == g.name and back.n_tasks == 30
+        assert back.structure_hash() == g.structure_hash()
+        assert back.edges() == g.edges()
+        # once built, the dicts pickle like any task-by-task graph
+        again = pickle.loads(pickle.dumps(back))
+        assert again.edges() == g.edges()
+        assert again.structure_hash() == g.structure_hash()
+
+    def test_mutation_builds_the_dicts_then_reindexes(self):
+        g = generators.chain(3, works=[1.0, 2.0, 3.0])
+        before = g.structure_hash()
+        g.add_task("X", 4.0)
+        g.add_edge("T3", "X")
+        assert g.n_tasks == 4 and g.n_edges == 3
+        assert topological_order(g) == ["T1", "T2", "T3", "X"]
+        assert g.structure_hash() != before
+        g.remove_edge("T3", "X")
+        assert g.sinks() == ["T3", "X"]
+        assert g.index().n_edges == 2
+        clone = g.copy()
+        assert clone.edges() == g.edges()
+
+    def test_duplicate_edges_collapse(self):
+        g = TaskGraph.from_arrays(["a", "b", "c"], [1.0, 2.0, 3.0],
+                                  [0, 0, 1, 0], [1, 1, 2, 2])
+        h = TaskGraph(tasks=[("a", 1.0), ("b", 2.0), ("c", 3.0)],
+                      edges=[("a", "b"), ("b", "c"), ("a", "c")])
+        assert g.index().n_edges == 3
+        assert g.structure_hash() == h.structure_hash()
+        assert g.edges() == h.edges()
+
+    def test_empty_graph(self):
+        g = TaskGraph.from_arrays([], [], [], [])
+        assert g.n_tasks == 0 and g.index().n_edges == 0
+        assert g.structure_hash() == TaskGraph().structure_hash()
+
+    @pytest.mark.parametrize("names, works, src, dst, message", [
+        (["a", "a"], [1.0, 1.0], [], [], "duplicate task name 'a'"),
+        (["a", ""], [1.0, 1.0], [], [], "non-empty string, got ''"),
+        (["a", 3], [1.0, 1.0], [], [], "non-empty string, got 3"),
+        (["a", "b"], [1.0, 0.0], [], [], "task 'b' must have a finite, strictly positive work"),
+        (["a", "b"], [-1.0, 1.0], [], [], "task 'a' must have a finite"),
+        (["a", "b"], [1.0, float("nan")], [], [], "got nan"),
+        (["a", "b"], [float("inf"), 1.0], [], [], "got inf"),
+        (["a", "b"], [1.0], [], [], "expected 2 works"),
+        (["a", "b"], ["x", 1.0], [], [], "numeric"),
+        (["a", "b"], [1.0, 1.0], [0], [2], "outside the 2 tasks"),
+        (["a", "b"], [1.0, 1.0], [-1], [0], "outside the 2 tasks"),
+        (["a", "b"], [1.0, 1.0], [0, 1], [1], "one length"),
+        (["a", "b"], [1.0, 1.0], [0, 1], [1, 1], "self-loop on task 'b'"),
+        (["a", "b", "c"], [1.0, 1.0, 1.0], [0, 1, 2], [1, 2, 1],
+         "graph 'g' contains a cycle (2 tasks unreachable in topological sort)"),
+    ])
+    def test_typed_errors(self, names, works, src, dst, message):
+        with pytest.raises(InvalidGraphError) as excinfo:
+            TaskGraph.from_arrays(names, works, src, dst, name="g")
+        assert message in str(excinfo.value)
+
+    def test_cycle_message_matches_the_task_by_task_route(self):
+        h = TaskGraph(tasks=[("a", 1.0), ("b", 1.0), ("c", 1.0)], name="g",
+                      edges=[("a", "b"), ("b", "c"), ("c", "b")])
+        with pytest.raises(InvalidGraphError) as by_dicts:
+            h.validate()
+        with pytest.raises(InvalidGraphError) as by_arrays:
+            TaskGraph.from_arrays(["a", "b", "c"], [1.0] * 3, [0, 1, 2],
+                                  [1, 2, 1], name="g")
+        assert str(by_arrays.value) == str(by_dicts.value)
+
+
 class TestAnalysis:
     def test_topological_order_respects_edges(self):
         g = generators.layered_dag(20, seed=1)
@@ -191,6 +315,14 @@ class TestAnalysis:
     def test_longest_path_custom_weight(self):
         g = generators.chain(3, works=[1.0, 1.0, 1.0])
         assert longest_path_length(g, weight=lambda _n: 2.0) == pytest.approx(6.0)
+
+    def test_longest_path_weight_vector(self):
+        g = generators.layered_dag(30, seed=5)
+        vector = g.index().works / 0.7
+        assert longest_path_length(g, weight=vector) == \
+            longest_path_length(g, weight=lambda n: g.work(n) / 0.7)
+        with pytest.raises(InvalidGraphError, match="shape"):
+            longest_path_length(g, weight=vector[:-1])
 
     def test_longest_path_weight_mapping_missing(self):
         g = generators.chain(2, works=[1.0, 1.0])
