@@ -171,6 +171,8 @@ def execute_solve_batch(service: "SolverService",
     ``keep_speeds`` asks for speed maps on every row; a request's own
     ``keep_speeds`` flag turns them on for just that row.
     """
+    from repro.batch.vectorized import batch_key
+
     rows: list[SolveResponse | None] = [None] * len(requests)
     groups: dict[tuple, list[tuple[int, Any, SolveRequest]]] = {}
     for i, request in enumerate(requests):
@@ -179,9 +181,8 @@ def execute_solve_batch(service: "SolverService",
         except ReproError as exc:
             rows[i] = _request_failure(request, exc)
             continue
-        key = (request.method, request.exact,
-               tuple(sorted((k, repr(v)) for k, v in request.options.items())),
-               keep_speeds or request.keep_speeds, request.validate)
+        key = batch_key(request.method, request.exact, request.options,
+                        keep_speeds or request.keep_speeds, request.validate)
         groups.setdefault(key, []).append((i, item, request))
     for members in groups.values():
         first = members[0][2]
@@ -590,9 +591,6 @@ STALE_RUNNER_SECONDS = 10.0
 #: healthy runner's lease expires between two renewals and another worker
 #: "reclaims" a live job.
 HEARTBEAT_SECONDS = 2.0
-
-#: Backwards-compatible alias of :data:`HEARTBEAT_SECONDS`.
-_HEARTBEAT_SECONDS = HEARTBEAT_SECONDS
 
 
 def _env_seconds(name: str, default: float) -> float:

@@ -31,7 +31,7 @@ Fan out hand-built problems and inspect failures::
 
     from repro.batch import solve_many, failed
 
-    results = solve_many(problems, workers=8, chunk=4)
+    results = solve_many(problems, workers=8)
     for r in failed(results):
         print(f"{r.name}: {r.error_type}: {r.error}")
 

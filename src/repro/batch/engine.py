@@ -1,4 +1,4 @@
-"""Process-pool fan-out over many ``MinEnergy(G, D)`` instances.
+"""One fan-out over many ``MinEnergy(G, D)`` instances.
 
 :func:`solve_many` maps the registry-dispatched solver over a list of
 problems, either serially or across a pool of worker processes.  Every
@@ -6,17 +6,23 @@ instance is wrapped in per-instance error capture: a failing solve (an
 infeasible deadline, a solver blow-up, a bad model) produces a
 :class:`BatchResult` with ``ok=False`` and the error recorded instead of
 killing the whole batch — exactly what a long parameter sweep needs.
+:meth:`BatchResult.failure` is the one constructor of such rows.
 
-The fan-out degrades gracefully rather than leaking the executor: a
-``KeyboardInterrupt`` (or a worker process dying mid-batch) cancels the
-pending futures, shuts the pool down without waiting, and returns the
-results gathered so far with the unfinished instances recorded as failures
-(``error_type`` ``"KeyboardInterrupt"`` / ``"BrokenProcessPool"``).
+Pooled work has one path, shared with
+:class:`repro.service.SolverService`: :func:`work_items` builds the
+items, :func:`_preresolve` answers cache hits in this process,
+:func:`fan_out` submits one future per remaining item and caches each
+finished envelope from the future's done-callback, and :func:`gather`
+turns hits and futures back into rows in input order.  A future that
+raised reads as a row of its exception's type (a dead worker is
+``"BrokenProcessPool"``); one that never finished reads as the type its
+caller names (``"KeyboardInterrupt"`` here, ``"CancelledError"`` for a
+job), so an interrupt still returns one row per instance.
 
 Passing a :class:`repro.cache.ResultCache` short-circuits instances whose
 :meth:`~repro.core.problem.MinEnergyProblem.cache_key` is already stored:
 hits are answered in the parent process (no pickling, no worker dispatch)
-and misses populate the cache on the way back.  Every result's ``metadata``
+and misses populate the cache as they finish.  Every result's ``metadata``
 carries its ``cache_hit`` flag and, when the caller provides them, the
 per-instance RNG ``seed`` — so each sweep row is individually reproducible.
 
@@ -29,11 +35,12 @@ when the assignments themselves are needed.
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.core.problem import MinEnergyProblem
 from repro.utils.errors import InvalidParameterError
@@ -82,6 +89,22 @@ class BatchResult:
     def solve_seconds(self) -> float | None:
         """Backend solve time the solver reported (modeling layer)."""
         return self.metadata.get("solve_seconds")
+
+    @classmethod
+    def failure(cls, index: int, name: str, n_tasks: int, error_type: str,
+                error: str, *, seed: int | None = None,
+                seconds: float = 0.0) -> "BatchResult":
+        """The row of an instance that did not solve.
+
+        An empty ``error`` reads as ``error_type``, so every failure row
+        carries a message.
+        """
+        metadata: dict[str, Any] = {"cache_hit": False}
+        if seed is not None:
+            metadata["seed"] = seed
+        return cls(index=index, name=name, ok=False, n_tasks=n_tasks,
+                   seconds=seconds, error=error or error_type,
+                   error_type=error_type, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -141,24 +164,35 @@ def _solve_one(item: _WorkItem) -> tuple[BatchResult, dict | None]:
             metadata=metadata,
         ), envelope
     except Exception as exc:  # per-instance capture: the batch must survive
-        metadata = {"cache_hit": False}
-        if item.seed is not None:
-            metadata["seed"] = item.seed
-        return BatchResult(
-            index=item.index,
-            name=problem.name,
-            ok=False,
-            n_tasks=problem.n_tasks,
-            seconds=time.perf_counter() - start,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            metadata=metadata,
-        ), None
+        return BatchResult.failure(
+            item.index, problem.name, problem.n_tasks, type(exc).__name__,
+            str(exc), seed=item.seed,
+            seconds=time.perf_counter() - start), None
 
 
-def _solve_chunk(items: list[_WorkItem]) -> list[tuple[BatchResult, dict | None]]:
-    """Worker body for a chunk of instances (amortises pickling)."""
-    return [_solve_one(item) for item in items]
+def work_items(problems: Sequence[MinEnergyProblem], *, method: str | None,
+               exact: bool | None, validate: bool, keep_speeds: bool,
+               options: dict[str, Any] | None,
+               seeds: Sequence[int | None] | None,
+               want_envelope: bool) -> list[_WorkItem]:
+    """One work item per problem, indexed in input order.
+
+    ``seeds`` (one per problem, or ``None``) are recorded in the rows;
+    ``want_envelope`` asks the worker for the envelope a cache stores.
+    """
+    if seeds is not None and len(seeds) != len(problems):
+        raise InvalidParameterError(
+            f"seeds must align with problems: got {len(seeds)} seeds for "
+            f"{len(problems)} problems"
+        )
+    opts = dict(options or {})
+    return [
+        _WorkItem(index=i, problem=p, method=method, exact=exact,
+                  validate=validate, keep_speeds=keep_speeds, options=opts,
+                  seed=None if seeds is None else seeds[i],
+                  want_envelope=want_envelope)
+        for i, p in enumerate(problems)
+    ]
 
 
 def _envelope_speeds(envelope: dict) -> dict[str, float] | None:
@@ -238,24 +272,72 @@ def _preresolve(items: list[_WorkItem], cache: "ResultCache | None"
     return hits, pending, keys
 
 
-def _interrupted_result(item: _WorkItem, error_type: str, message: str) -> BatchResult:
-    metadata: dict[str, Any] = {"cache_hit": False}
-    if item.seed is not None:
-        metadata["seed"] = item.seed
-    return BatchResult(
-        index=item.index, name=item.problem.name, ok=False,
-        n_tasks=item.problem.n_tasks, error=message, error_type=error_type,
-        metadata=metadata,
-    )
+def _store(cache: "ResultCache", key: str, future: Future) -> None:
+    """Done-callback: cache the envelope of an instance that finished."""
+    if not future.cancelled() and future.exception() is None:
+        _result, envelope = future.result()
+        if envelope is not None:
+            cache.put(key, envelope)
+
+
+def fan_out(pool: Executor, pending: Sequence[_WorkItem],
+            keys: Mapping[int, str],
+            cache: "ResultCache | None") -> dict[int, Future]:
+    """Submit one future per pending item; returns them by item index.
+
+    Each item with a cache key stores its envelope in ``cache`` from its
+    future's done-callback, so finished cells are cached even if nobody
+    collects their rows.  The callback runs on the pool's result thread: a
+    store that raises there is logged by :mod:`concurrent.futures` and the
+    row still returns.
+    """
+    futures: dict[int, Future] = {}
+    for item in pending:
+        future = pool.submit(_solve_one, item)
+        if cache is not None and item.index in keys:
+            future.add_done_callback(
+                functools.partial(_store, cache, keys[item.index]))
+        futures[item.index] = future
+    return futures
+
+
+def gather(identities: Sequence[tuple[str, int, int | None]],
+           rows: Mapping[int, BatchResult], futures: Mapping[int, Future],
+           unfinished: BaseException) -> list[BatchResult]:
+    """The rows of a batch in input order, from settled rows and futures.
+
+    ``identities`` holds each instance's ``(name, n_tasks, seed)`` and
+    ``rows`` the instances already answered (cache hits, serial solves).
+    A future that raised becomes a row of that exception's type, so a dead
+    worker reads ``"BrokenProcessPool"``; a cancelled or unfinished future,
+    or an instance with neither a row nor a future, reads as
+    ``unfinished``.
+    """
+    out: list[BatchResult] = []
+    for index, (name, n_tasks, seed) in enumerate(identities):
+        row = rows.get(index)
+        if row is not None:
+            out.append(row)
+            continue
+        future = futures.get(index)
+        exc: BaseException | None = unfinished
+        if future is not None and future.done() and not future.cancelled():
+            exc = future.exception()
+            if exc is None:
+                out.append(future.result()[0])
+                continue
+        out.append(BatchResult.failure(index, name, n_tasks,
+                                       type(exc).__name__, str(exc),
+                                       seed=seed))
+    return out
 
 
 def solve_many(problems: Sequence[MinEnergyProblem] | Iterable[MinEnergyProblem], *,
-               workers: int | None = None, chunk: int = 1,
+               workers: int | None = None,
                method: str | None = None,
                exact: bool | None = None, validate: bool = True,
                keep_speeds: bool = False,
                options: dict[str, Any] | None = None,
-               solver_kwargs: dict[str, Any] | None = None,
                cache: "ResultCache | None" = None,
                seeds: Sequence[int | None] | None = None) -> list[BatchResult]:
     """Solve many instances, optionally fanning out over worker processes.
@@ -269,10 +351,8 @@ def solve_many(problems: Sequence[MinEnergyProblem] | Iterable[MinEnergyProblem]
         ``None``, 0 or 1 solves serially in this process; otherwise a
         :class:`~concurrent.futures.ProcessPoolExecutor` with that many
         workers is used (instances must then be picklable, which every
-        library graph/model is).
-    chunk:
-        Number of instances handed to a worker per dispatch (larger chunks
-        amortise pickling for many small instances).
+        library graph/model is).  The pool is joined before the rows
+        return, so every envelope is in ``cache`` by then.
     method:
         Registered solver method forwarded to :func:`repro.solve.solve`
         (``None`` = each model's default).
@@ -288,8 +368,6 @@ def solve_many(problems: Sequence[MinEnergyProblem] | Iterable[MinEnergyProblem]
         default to keep large sweeps lightweight).
     options:
         Solver options validated against the chosen backend's schema.
-        ``solver_kwargs`` is the deprecated spelling of the same mapping and
-        is merged into ``options``.
     cache:
         Optional :class:`repro.cache.ResultCache`.  Instances whose cache
         key is stored are answered in the parent process; misses are solved
@@ -307,84 +385,41 @@ def solve_many(problems: Sequence[MinEnergyProblem] | Iterable[MinEnergyProblem]
         failures (including instances cancelled by an interrupt or a worker
         death — see the module docstring).
     """
-    merged = dict(solver_kwargs or {})
-    merged.update(options or {})
-    problem_list = list(problems)
-    if seeds is not None and len(seeds) != len(problem_list):
-        raise InvalidParameterError(
-            f"seeds must align with problems: got {len(seeds)} seeds for "
-            f"{len(problem_list)} problems"
-        )
-    items = [
-        _WorkItem(index=i, problem=p, method=method, exact=exact,
-                  validate=validate, keep_speeds=keep_speeds, options=merged,
-                  seed=None if seeds is None else seeds[i],
-                  want_envelope=cache is not None)
-        for i, p in enumerate(problem_list)
-    ]
-
-    results: list[BatchResult | None] = [None] * len(items)
-    hits, pending, keys = _preresolve(items, cache)
-    for index, hit in hits.items():
-        results[index] = hit
-
-    def finish(item_result: tuple[BatchResult, dict | None]) -> None:
-        result, envelope = item_result
-        results[result.index] = result
-        if cache is not None and envelope is not None and result.index in keys:
-            cache.put(keys[result.index], envelope)
-
+    items = work_items(list(problems), method=method, exact=exact,
+                       validate=validate, keep_speeds=keep_speeds,
+                       options=options, seeds=seeds,
+                       want_envelope=cache is not None)
+    rows, pending, keys = _preresolve(items, cache)
+    futures: dict[int, Future] = {}
+    # what an instance left without a row reads as: only an interrupt (or
+    # a pool that broke while work was being submitted) leaves one
+    unfinished: BaseException = KeyboardInterrupt()
     if workers is None or workers <= 1:
         try:
             for item in pending:
-                finish(_solve_one(item))
+                rows[item.index], envelope = _solve_one(item)
+                if cache is not None and envelope is not None \
+                        and item.index in keys:
+                    cache.put(keys[item.index], envelope)
         except KeyboardInterrupt as exc:
-            for item in pending:
-                if results[item.index] is None:
-                    results[item.index] = _interrupted_result(
-                        item, "KeyboardInterrupt", str(exc) or "interrupted")
-        return results  # type: ignore[return-value]  # every slot is filled
-
-    if chunk < 1:
-        raise InvalidParameterError(f"chunk must be >= 1, got {chunk}")
-
-    chunks = [pending[i:i + chunk] for i in range(0, len(pending), chunk)]
-    pool = ProcessPoolExecutor(max_workers=workers)
-    future_items: dict[Future, list[_WorkItem]] = {}
-    try:
+            unfinished = exc
+    elif pending:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        finished = False
         try:
-            for chunk_items in chunks:
-                future_items[pool.submit(_solve_chunk, chunk_items)] = chunk_items
-            not_done = set(future_items)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    for item_result in future.result():
-                        finish(item_result)
+            futures = fan_out(pool, pending, keys, cache)
+            wait(futures.values())
+            finished = True
         except (KeyboardInterrupt, BrokenProcessPool) as exc:
-            error_type = type(exc).__name__
-            message = str(exc) or ("worker pool interrupted"
-                                   if error_type == "KeyboardInterrupt"
-                                   else "a worker process died")
-            for future, chunk_items in future_items.items():
-                future.cancel()
-                if future.done() and not future.cancelled():
-                    try:
-                        for item_result in future.result(timeout=0):
-                            finish(item_result)
-                        continue
-                    except Exception:
-                        pass  # the broken future itself: fall through to record
-                for item in chunk_items:
-                    if results[item.index] is None:
-                        results[item.index] = _interrupted_result(
-                            item, error_type, message)
-    finally:
-        # always reached with every future done or cancelled; also covers
-        # unexpected exceptions (a cache store failing mid-finish, ...) so
-        # live worker processes never leak behind a propagating error
-        pool.shutdown(wait=False, cancel_futures=True)
-    return results  # type: ignore[return-value]  # every slot is filled
+            unfinished = exc
+        finally:
+            # a finished run joins the workers and the thread that ran the
+            # cache callbacks; otherwise queued work is cancelled and the
+            # workers exit once their current instance is done
+            pool.shutdown(wait=finished, cancel_futures=True)
+    identities = [(item.problem.name, item.problem.n_tasks, item.seed)
+                  for item in items]
+    return gather(identities, rows, futures, unfinished)
 
 
 def failed(results: Iterable[BatchResult]) -> list[BatchResult]:

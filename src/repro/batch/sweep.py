@@ -293,7 +293,7 @@ def sweep(*, graph_classes: Sequence[str] = ("chain", "tree", "layered"),
           s_max: float = 1.0,
           n_processors: int = 0, mapping: str = "none",
           repetitions: int = 1, seed: int = 0,
-          workers: int | None = None, chunk: int = 1,
+          workers: int | None = None,
           method: str | None = None,
           exact: bool | None = None, validate: bool = True,
           cache: "ResultCache | None" = None,
@@ -303,8 +303,8 @@ def sweep(*, graph_classes: Sequence[str] = ("chain", "tree", "layered"),
     """Run a deadline/alpha/graph-size grid and return one row per instance.
 
     Parameters mirror :func:`build_sweep_problems` plus the fan-out knobs of
-    :func:`repro.batch.engine.solve_many` (``workers``, ``chunk``,
-    ``method``, ``exact``, ``validate``, ``cache``).  Failed instances
+    :func:`repro.batch.engine.solve_many` (``workers``, ``method``,
+    ``exact``, ``validate``, ``cache``).  Failed instances
     appear as rows with ``ok=False`` and the error recorded, so a sweep
     never dies half way through a grid.
 
@@ -327,7 +327,7 @@ def sweep(*, graph_classes: Sequence[str] = ("chain", "tree", "layered"),
         model=model, n_modes=n_modes, s_max=s_max, n_processors=n_processors,
         mapping=mapping, repetitions=repetitions, seed=seed,
     )
-    results = solve_many(plan.problems, workers=workers, chunk=chunk,
+    results = solve_many(plan.problems, workers=workers,
                          method=method, exact=exact, validate=validate,
                          cache=cache, seeds=[coord[-1] for coord in plan.coords])
     if plan.shard is not None:

@@ -583,25 +583,39 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
 # --------------------------------------------------------------------------- #
 def _spec_eligible(item: MinEnergyProblem | InstanceSpec, *,
                    method: str | None, exact: bool | None,
-                   options: dict[str, Any] | None,
-                   max_tasks: int) -> InstanceSpec | None:
+                   options: dict[str, Any] | None) -> InstanceSpec | None:
     """Lower ``item`` to a spec when the vector core may solve it."""
     if method not in (None, "auto") or exact is not None or options:
         return None
+    if item.n_tasks > VECTORIZE_MAX_TASKS:
+        return None
     if isinstance(item, InstanceSpec):
-        return item if item.n_tasks <= max_tasks else None
+        return item
     if not isinstance(item.model, ContinuousModel):
         return None
-    if item.n_tasks > max_tasks:
-        return None
     return spec_from_problem(item)
+
+
+def batch_key(method: str | None, exact: bool | None,
+              options: dict[str, Any] | None, keep_speeds: bool,
+              validate: bool) -> tuple:
+    """The grouping key of a micro-batch: requests with equal keys share
+    one :func:`solve_batch` call.
+
+    Option values arrive from the wire unvalidated (a JSON list or object
+    is not hashable), so they compare by ``repr``; the schema check of
+    :func:`repro.solve.solve` then answers a bad one with a typed row.
+    """
+    return (method, exact,
+            tuple(sorted((k, repr(v)) for k, v in (options or {}).items())),
+            keep_speeds, validate)
 
 
 def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec], *,
                 method: str | None = None, exact: bool | None = None,
                 options: dict[str, Any] | None = None,
-                keep_speeds: bool = False, validate: bool = False,
-                max_tasks: int = VECTORIZE_MAX_TASKS) -> list[BatchResult]:
+                keep_speeds: bool = False,
+                validate: bool = False) -> list[BatchResult]:
     """Solve a batch of instances, vectorizing every eligible one.
 
     ``items`` mixes :class:`MinEnergyProblem` objects and
@@ -618,8 +632,7 @@ def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec], *,
     for item in items:
         try:
             specs.append(_spec_eligible(item, method=method, exact=exact,
-                                        options=opts or None,
-                                        max_tasks=max_tasks))
+                                        options=opts or None))
         except Exception:
             specs.append(None)
 
@@ -658,24 +671,20 @@ def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec], *,
     for i, item in enumerate(items):
         if results[i] is not None:
             continue
-        problem: MinEnergyProblem | None = None
-        try:
-            problem = item if isinstance(item, MinEnergyProblem) \
-                else item.materialise()
-        except Exception as exc:
-            name = item.display_name if isinstance(item, InstanceSpec) else ""
-            results[i] = BatchResult(
-                index=i, name=name, ok=False,
-                n_tasks=item.n_tasks if isinstance(item, InstanceSpec) else 0,
-                error=str(exc) or type(exc).__name__,
-                error_type=type(exc).__name__,
-                metadata={"cache_hit": False})
-            continue
-        result, _env = _solve_one(_WorkItem(
+        if isinstance(item, MinEnergyProblem):
+            problem = item
+        else:
+            try:
+                problem = item.materialise()
+            except Exception as exc:
+                results[i] = BatchResult.failure(
+                    i, item.display_name, item.n_tasks, type(exc).__name__,
+                    str(exc))
+                continue
+        results[i], _env = _solve_one(_WorkItem(
             index=i, problem=problem, method=method, exact=exact,
             validate=validate, keep_speeds=keep_speeds, options=opts,
             seed=None, want_envelope=False))
-        results[i] = result
 
     # amortize the single packed solve across its instances
     if n_vectorized:
@@ -706,8 +715,6 @@ def _validated(result: BatchResult, spec: InstanceSpec,
         result.energy = solution.energy
         result.makespan = solution.makespan
     except Exception as exc:
-        return BatchResult(
-            index=result.index, name=result.name, ok=False,
-            n_tasks=result.n_tasks, error=str(exc) or type(exc).__name__,
-            error_type=type(exc).__name__, metadata={"cache_hit": False})
+        return BatchResult.failure(result.index, result.name, result.n_tasks,
+                                   type(exc).__name__, str(exc))
     return result

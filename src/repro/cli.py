@@ -292,7 +292,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table = sweep(
         **_grid_kwargs(args),
         workers=args.workers or None,
-        chunk=args.chunk,
         cache=cache,
         shard=_parse_shard(args),
         priors=_load_priors(args),
@@ -792,8 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_arguments(sweep_parser)
     sweep_parser.add_argument("--workers", type=int, default=0,
                               help="worker processes; 0 or 1 solves serially (default 0)")
-    sweep_parser.add_argument("--chunk", type=int, default=1,
-                              help="instances per worker dispatch (default 1)")
     sweep_parser.add_argument("--out", default="",
                               help="also write the rows as a fingerprinted "
                                    "JSON shard dump for 'repro merge'")

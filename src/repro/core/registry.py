@@ -86,6 +86,27 @@ class OptionSpec:
         return " | ".join(t.__name__ for t in self.types)
 
 
+def validate_options(specs: Iterable[OptionSpec], options: Mapping[str, Any],
+                     *, owner: str, method: str) -> dict[str, Any]:
+    """Validate a full option mapping against a declared schema.
+
+    The one schema check of both registries: ``owner`` names the entry in
+    the :class:`UnknownOptionError` message and ``method`` in each
+    :meth:`OptionSpec.validate` message.
+    """
+    known = {spec.name: spec for spec in specs}
+    clean: dict[str, Any] = {}
+    for key in options:
+        if key not in known:
+            valid = ", ".join(sorted(known)) or "<none>"
+            raise UnknownOptionError(
+                f"backend {owner} rejected option {key!r}: not in its "
+                f"declared schema (valid options: {valid})"
+            )
+        clean[key] = known[key].validate(options[key], method=method)
+    return clean
+
+
 @dataclass(frozen=True)
 class SolverBackend:
     """One registered (model, method) solver entry.
@@ -107,18 +128,9 @@ class SolverBackend:
 
     def validate_options(self, options: Mapping[str, Any]) -> dict[str, Any]:
         """Validate a full option mapping against the declared schema."""
-        known = {spec.name: spec for spec in self.options}
-        clean: dict[str, Any] = {}
-        for key in options:
-            if key not in known:
-                valid = ", ".join(sorted(known)) or "<none>"
-                raise UnknownOptionError(
-                    f"backend {self.model}/{self.method} rejected option "
-                    f"{key!r}: not in its declared schema "
-                    f"(valid options: {valid})"
-                )
-            clean[key] = known[key].validate(options[key], method=self.method)
-        return clean
+        return validate_options(self.options, options,
+                                owner=f"{self.model}/{self.method}",
+                                method=self.method)
 
 
 class SolverRegistry:

@@ -587,7 +587,7 @@ def experiment_batch_sweep(*, graph_classes: Sequence[str] = ("chain", "fork", "
                            model: str = "continuous", n_modes: int = 5,
                            s_max: float = 1.0,
                            repetitions: int = 2, seed: int = 11,
-                           workers: int | None = None, chunk: int = 1,
+                           workers: int | None = None,
                            cache=None, shard=None) -> Table:
     """Batch sweep over graph class / size / deadline / alpha grids.
 
@@ -605,7 +605,7 @@ def experiment_batch_sweep(*, graph_classes: Sequence[str] = ("chain", "fork", "
     return sweep(graph_classes=graph_classes, sizes=sizes, slacks=slacks,
                  alphas=alphas, model=model, n_modes=n_modes, s_max=s_max,
                  repetitions=repetitions, seed=seed, workers=workers,
-                 chunk=chunk, cache=cache, shard=shard,
+                 cache=cache, shard=shard,
                  title="SWEEP - batch sweep engine grid")
 
 

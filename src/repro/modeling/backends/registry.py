@@ -34,12 +34,8 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.registry import OptionSpec
-from repro.utils.errors import (
-    BackendUnavailableError,
-    UnknownBackendError,
-    UnknownOptionError,
-)
+from repro.core.registry import OptionSpec, validate_options
+from repro.utils.errors import BackendUnavailableError, UnknownBackendError
 
 #: Default backend per model kind (used when a solve passes ``backend=None``).
 DEFAULT_BACKEND = {"lp": "highs", "convex": "mehrotra-ipm"}
@@ -77,17 +73,8 @@ class ModelBackend:
         return any(spec.name == option for spec in self.options)
 
     def validate_options(self, options: Mapping[str, Any]) -> dict[str, Any]:
-        known = {spec.name: spec for spec in self.options}
-        clean: dict[str, Any] = {}
-        for key in options:
-            if key not in known:
-                valid = ", ".join(sorted(known)) or "<none>"
-                raise UnknownOptionError(
-                    f"backend {self.name!r} rejected option {key!r}: not in "
-                    f"its declared schema (valid options: {valid})"
-                )
-            clean[key] = known[key].validate(options[key], method=self.name)
-        return clean
+        return validate_options(self.options, options, owner=repr(self.name),
+                                method=self.name)
 
 
 class BackendRegistry:

@@ -11,8 +11,9 @@ ticks instead of N scalar solve pipelines — the occupancy histogram in
 :meth:`stats` is the direct measurement.
 
 Submissions with different solver parameters may share a tick; the drain
-groups them by ``(method, exact, options)`` so each group still makes a
-single batch call.
+groups them by :func:`~repro.batch.vectorized.batch_key` (the key
+``/v1/solve_batch`` groups by too) so each group still makes a single
+batch call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from concurrent.futures import Future
 from typing import Any, Sequence
 
 from repro.batch.engine import BatchResult
-from repro.batch.vectorized import InstanceSpec, solve_batch
+from repro.batch.vectorized import InstanceSpec, batch_key, solve_batch
 from repro.core.problem import MinEnergyProblem
 from repro.reliability import failpoints
 from repro.reliability.policy import Deadline
@@ -94,8 +95,7 @@ class MicroBatcher:
         coalescing window never waits past the earliest queued deadline,
         and an expired submission is resolved, not solved.
         """
-        key = (method, exact,
-               tuple(sorted((options or {}).items())), keep_speeds, validate)
+        key = batch_key(method, exact, options, keep_speeds, validate)
         future: "Future[BatchResult]" = Future()
         with self._cond:
             if self._closed:

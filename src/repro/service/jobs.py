@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Future, wait as futures_wait
+from concurrent.futures import CancelledError, Future, wait as futures_wait
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.batch.engine import BatchResult
+from repro.batch.engine import BatchResult, gather
 from repro.utils.errors import InvalidParameterError, PollTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +75,7 @@ class JobHandle:
                  coords: Sequence[tuple] | None = None,
                  params: dict[str, Any] | None = None,
                  instance_meta: Sequence[tuple[str, int]] | None = None,
+                 seeds: Sequence[int | None] | None = None,
                  shard: "ShardSpec | None" = None,
                  fingerprint: str = "",
                  manifest: dict[str, Any] | None = None) -> None:
@@ -101,9 +102,13 @@ class JobHandle:
         self._indices = list(future_indices)
         self._preresolved = dict(preresolved or {})
         self._total = total
-        #: per-index (problem name, task count) so fabricated failure rows
-        #: keep the real instance identity even when no solver ever ran
-        self._instance_meta = list(instance_meta or [])
+        #: per-index (problem name, task count, seed) so the failure row of
+        #: an instance no worker reported on keeps its identity
+        meta = (instance_meta if instance_meta is not None
+                else [(f"instance-{i}", 0) for i in range(total)])
+        self._identities = [
+            (instance, n_tasks, None if seeds is None else seeds[i])
+            for i, (instance, n_tasks) in enumerate(meta)]
         self._cancelled = False
 
     # ------------------------------------------------------------------ #
@@ -137,21 +142,15 @@ class JobHandle:
         failed = sum(1 for r in self._preresolved.values() if not r.ok)
         cache_hits = sum(1 for r in self._preresolved.values() if r.cache_hit)
         for future in self._futures:
-            if future.done() and not future.cancelled():
-                try:
-                    result = self._future_result(future)
-                except Exception:
-                    done += 1
-                    failed += 1
-                    continue
-                done += 1
-                if not result.ok:
-                    failed += 1
-                if result.cache_hit:
-                    cache_hits += 1
-            elif future.cancelled():
-                done += 1
+            if not future.done():
+                continue
+            done += 1
+            if future.cancelled() or future.exception() is not None:
                 failed += 1
+                continue
+            result = future.result()[0]
+            failed += not result.ok
+            cache_hits += result.cache_hit
         return JobProgress(total=self._total, done=done, failed=failed,
                            cache_hits=cache_hits)
 
@@ -177,20 +176,12 @@ class JobHandle:
                 f"{len(self._futures)} instances still running after "
                 f"{timeout}s"
             )
-        out: dict[int, BatchResult] = dict(self._preresolved)
-        for index, future in zip(self._indices, self._futures):
-            if future.cancelled() or not future.done():
-                out[index] = self._fabricated_failure(
-                    index, "cancelled before completion", "CancelledError")
-                continue
-            try:
-                out[index] = self._future_result(future)
-            except Exception as exc:  # a worker died under this instance
-                out[index] = self._fabricated_failure(
-                    index, str(exc) or type(exc).__name__, type(exc).__name__)
+        rows = gather(self._identities, self._preresolved,
+                      dict(zip(self._indices, self._futures)),
+                      CancelledError("cancelled before completion"))
         if self.finished_at is None:
             self.finished_at = time.time()
-        return [out[i] for i in range(self._total)]
+        return rows
 
     async def wait(self, poll: float = 0.0) -> list[BatchResult]:
         """Asynchronously wait for completion and return the results.
@@ -214,30 +205,6 @@ class JobHandle:
         if cancelled and all(f.done() or f.cancelled() for f in self._futures):
             self._cancelled = True
         return cancelled
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _fabricated_failure(self, index: int, error: str,
-                            error_type: str) -> BatchResult:
-        """Failure row for an instance no worker ever reported on."""
-        if index < len(self._instance_meta):
-            name, n_tasks = self._instance_meta[index]
-        else:  # pragma: no cover - handles built without metadata
-            name, n_tasks = f"instance-{index}", 0
-        return BatchResult(
-            index=index, name=name, ok=False, n_tasks=n_tasks,
-            error=error, error_type=error_type,
-            metadata={"cache_hit": False},
-        )
-
-    @staticmethod
-    def _future_result(future: Future) -> BatchResult:
-        """Unpack a worker future (``(BatchResult, envelope)`` tuples)."""
-        value = future.result(timeout=0)
-        if isinstance(value, tuple):
-            return value[0]
-        return value
 
     def describe(self) -> dict[str, Any]:
         """JSON-able snapshot used by job records and ``repro jobs``."""

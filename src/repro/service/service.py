@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import threading
 import uuid
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.batch.engine import BatchResult, _preresolve, _solve_one, _WorkItem
+from repro.batch.engine import BatchResult, _preresolve, fan_out, work_items
 from repro.batch.shard import ShardSpec
 from repro.batch.sweep import plan_sweep, sweep_table
 from repro.batch.vectorized import VECTORIZE_MAX_TASKS, InstanceSpec, solve_batch
@@ -162,59 +162,27 @@ class SolverService:
                          shard: ShardSpec | None = None,
                          fingerprint: str = "",
                          manifest: dict[str, Any] | None = None) -> JobHandle:
-        if seeds is not None and len(seeds) != len(problems):
-            raise InvalidParameterError("seeds must align with problems")
-        opts = dict(options or {})
-        job_id = f"job-{next(self._counter)}-{uuid.uuid4().hex[:8]}"
-
-        items = [
-            _WorkItem(index=i, problem=p, method=method, exact=exact,
-                      validate=self.validate, keep_speeds=self.keep_speeds,
-                      options=opts,
-                      seed=None if seeds is None else seeds[i],
-                      want_envelope=self.cache is not None)
-            for i, p in enumerate(problems)
-        ]
-
+        items = work_items(problems, method=method, exact=exact,
+                           validate=self.validate,
+                           keep_speeds=self.keep_speeds, options=options,
+                           seeds=seeds, want_envelope=self.cache is not None)
         preresolved, pending, keys = _preresolve(items, self.cache)
-
-        futures: list[Future] = []
-        indices: list[int] = []
+        job_id = f"job-{next(self._counter)}-{uuid.uuid4().hex[:8]}"
         with self._lock:
             # shutdown() flips _closed under this lock before it shuts the
             # pool down, so every submit below reaches a live pool
             if self._closed:
                 raise ShutdownError("SolverService is shut down")
-            for item in pending:
-                future = self._pool.submit(_solve_one, item)
-                if item.index in keys:
-                    future.add_done_callback(
-                        self._cache_writer(keys[item.index]))
-                futures.append(future)
-                indices.append(item.index)
+            futures = fan_out(self._pool, pending, keys, self.cache)
             handle = JobHandle(
-                job_id, name=name, futures=futures, future_indices=indices,
-                preresolved=preresolved, total=len(problems), coords=coords,
-                params=params,
+                job_id, name=name, futures=list(futures.values()),
+                future_indices=list(futures), preresolved=preresolved,
+                total=len(problems), coords=coords, params=params,
                 instance_meta=[(p.name, p.n_tasks) for p in problems],
-                shard=shard, fingerprint=fingerprint, manifest=manifest)
+                seeds=seeds, shard=shard, fingerprint=fingerprint,
+                manifest=manifest)
             self._jobs[job_id] = handle
         return handle
-
-    def _cache_writer(self, key: str):
-        """Done-callback inserting a finished instance's envelope."""
-
-        def write(future: Future) -> None:
-            if future.cancelled():
-                return
-            try:
-                _result, envelope = future.result(timeout=0)
-            except Exception:
-                return  # worker death: nothing to cache
-            if envelope is not None and self.cache is not None:
-                self.cache.put(key, envelope)
-
-        return write
 
     # ------------------------------------------------------------------ #
     # synchronous solves (micro-batched fast path)

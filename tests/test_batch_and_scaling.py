@@ -269,7 +269,7 @@ class TestSolveMany:
 
     def test_worker_fan_out_matches_serial(self):
         serial = solve_many(self._problems(), workers=None)
-        pooled = solve_many(self._problems(), workers=2, chunk=1)
+        pooled = solve_many(self._problems(), workers=2)
         assert [r.index for r in pooled] == [0, 1, 2]  # input order preserved
         for a, b in zip(serial, pooled):
             assert a.ok == b.ok
@@ -282,13 +282,6 @@ class TestSolveMany:
                               keep_speeds=True)
         assert isinstance(result, BatchResult)
         assert set(result.speeds) == set(f"T{i + 1}" for i in range(5))
-
-    def test_chunked_dispatch(self):
-        problems = [_chain_problem(6, ContinuousModel(), seed=s) for s in range(6)]
-        results = solve_many(problems, workers=2, chunk=3)
-        assert all(r.ok for r in results)
-        with pytest.raises(ValueError):
-            solve_many(problems, workers=2, chunk=0)
 
 
 class TestSweep:

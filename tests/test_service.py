@@ -10,17 +10,23 @@ underlying ``solve_many`` fan-out.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import sys
+import time
+from concurrent.futures import FIRST_COMPLETED
 
+import numpy as np
 import pytest
 
-from repro.batch import failed, solve_many, summarize
+import repro.batch.engine as engine
+from repro.batch import InstanceSpec, failed, solve_batch, solve_many, summarize
 from repro.cache import memory_cache
 from repro.core.models import ContinuousModel, DiscreteModel
 from repro.core.problem import MinEnergyProblem
 from repro.graphs import generators
 from repro.service import JobStatus, SolverService
+from repro.solve import cache_key_for
 from repro.utils.errors import ShutdownError
 
 MODES = (0.4, 0.6, 0.8, 1.0)
@@ -236,6 +242,94 @@ class TestFanOutHardening:
     def test_summarize_reports_cache_hits_field(self):
         results = solve_many([_problem(seed=1)])
         assert summarize(results)["cache_hits"] == 0
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fork start method")
+    def test_pooled_interrupt_returns_every_row_and_leaves_no_worker(
+            self, monkeypatch):
+        problems = [_problem(seed=s) for s in range(12)]
+        seeds = list(range(100, 112))
+        reference = solve_many(problems, seeds=seeds)
+        real_wait = engine.wait
+
+        def interrupted_wait(futures):
+            real_wait(futures, return_when=FIRST_COMPLETED)
+            raise KeyboardInterrupt
+
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(engine, "wait", interrupted_wait)
+        results = solve_many(problems, workers=2, seeds=seeds)
+        assert [r.index for r in results] == list(range(12))
+        assert any(r.ok for r in results)
+        assert any(not r.ok for r in results)
+        for row, ref in zip(results, reference):
+            assert row.metadata["seed"] == ref.metadata["seed"]
+            if row.ok:  # finished instances are intact
+                assert row.energy == pytest.approx(ref.energy, rel=1e-12)
+                assert row.solver == ref.solver
+            else:
+                assert row.error_type == "KeyboardInterrupt"
+        give_up = time.monotonic() + 10.0
+        while set(multiprocessing.active_children()) - before \
+                and time.monotonic() < give_up:
+            time.sleep(0.05)
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_pooled_cache_holds_every_envelope_when_rows_return(self):
+        problems = [_problem(seed=s) for s in range(24)]
+        cache = memory_cache()
+        cold = solve_many(problems, workers=2, cache=cache)
+        assert all(r.ok for r in cold)
+        assert all(cache.get(cache_key_for(p)) is not None for p in problems)
+        warm = solve_many(problems, workers=2, cache=cache)
+        assert all(r.cache_hit for r in warm)
+        assert [r.energy for r in warm] == [r.energy for r in cold]
+
+
+def _serial_capture(monkeypatch):
+    return solve_many([_infeasible()], seeds=[41])[0], \
+        "InfeasibleProblemError", 41
+
+
+def _serial_interrupt(monkeypatch):
+    def interrupting(item):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "_solve_one", interrupting)
+    return solve_many([_problem()], seeds=[42])[0], "KeyboardInterrupt", 42
+
+
+def _cancelled_job_future(monkeypatch):
+    with SolverService(workers=1, use_threads=True) as svc:
+        handle = svc.submit([_problem(seed=s) for s in range(6)],
+                            seeds=[43 + s for s in range(6)])
+        handle.cancel()
+        rows = handle.results(timeout=60)
+    cancelled = [r for r in rows if r.error_type == "CancelledError"]
+    assert cancelled, [r.error_type for r in rows]
+    return cancelled[0], "CancelledError", 43 + cancelled[0].index
+
+
+def _unmaterialisable_spec(monkeypatch):
+    # no problem and no graph data, so the scalar path cannot build one
+    spec = InstanceSpec(works=np.ones(3), task_names=("a", "b", "c"),
+                        edges_src=np.array([0, 1]),
+                        edges_dst=np.array([1, 2]), deadline=6.0,
+                        name="unbuildable")
+    return solve_batch([spec], method="convex")[0], "InvalidGraphError", None
+
+
+@pytest.mark.parametrize("site", [_serial_capture, _serial_interrupt,
+                                  _cancelled_job_future,
+                                  _unmaterialisable_spec],
+                         ids=lambda site: site.__name__.strip("_"))
+def test_every_failure_site_builds_the_same_row(site, monkeypatch):
+    row, error_type, seed = site(monkeypatch)
+    assert row.ok is False
+    assert row.error_type == error_type
+    assert row.error
+    assert row.cache_hit is False
+    assert row.metadata.get("seed") == seed
+    assert row.energy is None and row.solver is None
 
 
 class TestCliSubmitAndJobs:

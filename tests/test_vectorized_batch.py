@@ -7,28 +7,33 @@ graphs, s_max saturation, infeasible instances, non-continuous models),
 the micro-batcher's coalescing guarantee (N concurrent submissions cost
 far fewer than N ticks), the SolveRequest/SolveResponse wire envelopes,
 the binary row codec (round-trip plus malformed-frame rejection), solve /
-solve_batch parity across the Local, Disk and HTTP transports, and
-``repro solve --url``.
+solve_batch parity across the Local, Disk and HTTP transports,
+``repro solve --url``, and a malformed option coming back as a typed row
+while the fast path keeps serving.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import urllib.request
 
 import numpy as np
 import pytest
 
 from repro.api import (
+    SCHEMA_VERSION,
     DiskTransport,
     HTTPTransport,
     LocalTransport,
     SolveRequest,
     SolveResponse,
     SolverClient,
+    SweepRequest,
     decode_rows,
     encode_rows,
 )
+from repro.api.client import execute_solve
 from repro.batch import solve_batch, spec_from_graph_dict, spec_from_problem
 from repro.cli import main
 from repro.core.models import ContinuousModel, DiscreteModel
@@ -37,6 +42,7 @@ from repro.core.problem import MinEnergyProblem
 from repro.graphs import generators
 from repro.graphs.analysis import longest_path_length
 from repro.graphs.io import graph_to_dict, graph_to_json
+from repro.reliability.policy import DEADLINE_HEADER, Deadline
 from repro.server import SolverHTTPServer
 from repro.service import MicroBatcher, SolverService
 from repro.solve import solve as scalar_solve
@@ -351,6 +357,87 @@ class TestTransportParity:
         assert all(r.ok for r in results)
         assert after["submitted"] - before["submitted"] >= len(problems)
         assert after["ticks"] - before["ticks"] < len(problems)
+
+
+# --------------------------------------------------------------------- #
+# a malformed option is a typed row, never a dead tick thread
+# --------------------------------------------------------------------- #
+#: Option values a JSON body can carry that are not hashable.  Grouping
+#: requests by such a value raises in the micro-batcher's tick thread,
+#: which then strands that request and every later single solve.
+MALFORMED_OPTIONS = {"json-list": {"tol": [1e-6]},
+                     "json-object": {"tol": {"value": 1e-6}}}
+
+#: Every wait below is bounded, so a stuck fast path fails the test
+#: instead of hanging it; the deadline header also frees the server's
+#: handler threads, so the server still shuts down.
+CLIENT_TIMEOUT = 5.0
+SERVER_BUDGET = "4"
+
+
+def _tree_request(options=None) -> SolveRequest:
+    problem = make_problem(generators.random_tree(8, seed=3),
+                           s_max=float("inf"), slack=1.5)
+    return SolveRequest.from_problem(problem, options=options)
+
+
+def _post(url: str, path: str, body: dict) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        f"{url}/v1{path}", data=json.dumps(body).encode("utf-8"),
+        method="POST", headers={"Content-Type": "application/json",
+                                DEADLINE_HEADER: SERVER_BUDGET})
+    with urllib.request.urlopen(request, timeout=CLIENT_TIMEOUT) as response:
+        return response.status, json.loads(response.read())
+
+
+class TestMalformedOptions:
+    @pytest.mark.parametrize("options", MALFORMED_OPTIONS.values(),
+                             ids=MALFORMED_OPTIONS.keys())
+    def test_in_process_fast_path_answers_and_survives(self, options):
+        with SolverService(workers=1, use_threads=True) as service:
+            bad = execute_solve(service, _tree_request(options),
+                                deadline=Deadline.after(CLIENT_TIMEOUT))
+            assert not bad.ok
+            assert bad.error_type == "UnknownOptionError"
+            for _ in range(3):
+                good = execute_solve(service, _tree_request(),
+                                     deadline=Deadline.after(CLIENT_TIMEOUT))
+                assert good.ok, good.error
+            assert service.batcher()._thread.is_alive()
+
+    @pytest.mark.parametrize("options", MALFORMED_OPTIONS.values(),
+                             ids=MALFORMED_OPTIONS.keys())
+    def test_http_server_answers_and_keeps_serving(self, options):
+        transport = LocalTransport(workers=1, use_threads=True)
+        with SolverHTTPServer(transport, max_inflight=2).start() as server:
+            status, bad = _post(server.url, "/solve",
+                                _tree_request(options).to_wire())
+            assert status == 200
+            assert bad["ok"] is False
+            assert bad["error_type"] == "UnknownOptionError"
+            for _ in range(3):
+                status, good = _post(server.url, "/solve",
+                                     _tree_request().to_wire())
+                assert status == 200 and good["ok"], good
+            sweep = SweepRequest(graph_classes=("chain",), sizes=(4,),
+                                 slacks=(1.5,), name="after-bad-option")
+            status, record = _post(server.url, "/jobs", sweep.to_wire())
+            assert status == 200 and record["job_id"]
+            assert server.solver.batcher()._thread.is_alive()
+
+    @pytest.mark.parametrize("options", MALFORMED_OPTIONS.values(),
+                             ids=MALFORMED_OPTIONS.keys())
+    def test_solve_batch_answers_with_a_typed_row(self, options,
+                                                  http_server):
+        status, frame = _post(http_server.url, "/solve_batch", {
+            "schema_version": SCHEMA_VERSION,
+            "requests": [_tree_request(options).to_wire(),
+                         _tree_request().to_wire()],
+            "keep_speeds": False})
+        assert status == 200
+        bad, good = decode_rows(frame)
+        assert not bad.ok and bad.error_type == "UnknownOptionError"
+        assert good.ok
 
 
 class TestSolveCLI:
