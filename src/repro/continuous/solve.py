@@ -125,11 +125,6 @@ REGISTRY.register(
                        "factorisation each)"),
         OptionSpec("tolerance", (int, float), default=1e-9,
                    doc="relative duality-gap stopping target"),
-        OptionSpec("prune", (bool,), default=True,
-                   doc="drop transitively redundant precedence rows first"),
-        OptionSpec("warm_start", (str,), default="forest",
-                   choices=("forest", "uniform"),
-                   doc="critical-forest tree projection or uniform scaling"),
         OptionSpec("backend", (str,), default="mehrotra-ipm",
                    doc="convex backend registered on repro.modeling.BACKENDS"),
     ),

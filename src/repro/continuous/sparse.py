@@ -276,8 +276,6 @@ def _fit_deadline(idx: GraphIndex, d: np.ndarray, d_lower: np.ndarray
 def solve_general_convex_sparse(problem: MinEnergyProblem, *,
                                 max_iterations: int = 200,
                                 tolerance: float = 1e-9,
-                                prune: bool = True,
-                                warm_start: str = "forest",
                                 backend: str = "mehrotra-ipm") -> Solution:
     """Sparse interior-point Continuous solver for arbitrary DAGs.
 
@@ -296,14 +294,6 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
         the backend when it declares the option.
     tolerance:
         Relative duality-gap target of the stopping test (ditto).
-    prune:
-        Drop transitively redundant precedence rows first (two-hop bitset
-        filter); identical optimum, much sparser KKT systems on dense
-        random DAGs.
-    warm_start:
-        ``"forest"`` (default) projects onto the critical spanning forest
-        via the iterative tree machinery; ``"uniform"`` uses the plain
-        uniform-scaling point.
     backend:
         Any convex backend registered on :data:`repro.modeling.BACKENDS`
         (default ``"mehrotra-ipm"``; optional ``"cvxpy"``/``"ecos"``/
@@ -314,15 +304,10 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
     InfeasibleProblemError
         If the deadline cannot be met at the maximum speed.
     SolverError
-        For an unknown ``warm_start`` or a graph with no work.
+        For a graph with no work.
     UnknownBackendError
         If no registered convex backend matches ``backend``.
     """
-    if warm_start not in ("forest", "uniform"):
-        raise SolverError(
-            f"convex-sparse got unknown warm_start {warm_start!r} "
-            "(use 'forest' or 'uniform')"
-        )
     entry = BACKENDS.resolve(backend, kind="convex")
     problem.ensure_feasible()
     graph = problem.graph
@@ -361,16 +346,15 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
 
     warm_d = uniform_d
     stage = "uniform-scaling-warm-start"
-    if warm_start == "forest":
-        forest_d = _forest_warm_start(problem, idx, works, d_lower)
-        if forest_d is not None:
-            overshoot = makespan_of(forest_d)
-            if overshoot > 1.0:
-                forest_d = np.maximum(forest_d / overshoot, d_lower)
-            if (makespan_of(forest_d) <= 1.0 + 1e-9
-                    and objective(forest_d) < objective(uniform_d)):
-                warm_d = forest_d
-                stage = "forest-warm-start"
+    forest_d = _forest_warm_start(problem, idx, works, d_lower)
+    if forest_d is not None:
+        overshoot = makespan_of(forest_d)
+        if overshoot > 1.0:
+            forest_d = np.maximum(forest_d / overshoot, d_lower)
+        if (makespan_of(forest_d) <= 1.0 + 1e-9
+                and objective(forest_d) < objective(uniform_d)):
+            warm_d = forest_d
+            stage = "forest-warm-start"
 
     x0 = _interior_start(idx, warm_d, d_lower)
     ipm_lower = d_lower
@@ -394,8 +378,7 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
             metadata={"stage": "speed-cap-saturated", "iterations": 0},
         )
 
-    esrc, edst = (prune_redundant_edges(idx) if prune
-                  else (idx.edge_src, idx.edge_dst))
+    esrc, edst = prune_redundant_edges(idx)
     model = declare_continuous_program(n, esrc, edst, ipm_lower,
                                        works=works, alpha=alpha)
     # pass only the options the chosen backend declares (cvxpy-family

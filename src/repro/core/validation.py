@@ -4,10 +4,14 @@ The validator re-derives everything from first principles (durations from
 speeds, an ASAP schedule from the durations, admissibility from the energy
 model) so that a bug in a solver cannot silently produce an "optimal"
 infeasible answer: every experiment driver and most tests run their
-solutions through :func:`check_solution`.
+solutions through :func:`check_solution`.  :func:`check_certificate` does
+the same for optimality: it turns one multiplier per precedence edge into a
+lower bound on the energy of every schedule.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.models import VddHoppingModel
 from repro.core.problem import MinEnergyProblem
@@ -18,7 +22,7 @@ from repro.core.solution import (
     SpeedAssignment,
     compute_schedule,
 )
-from repro.utils.errors import InvalidSolutionError
+from repro.utils.errors import InvalidModelError, InvalidSolutionError
 from repro.utils.numerics import DEFAULT_REL_TOL, is_close, leq_with_tol
 
 
@@ -135,3 +139,64 @@ def check_solution(solution: Solution, *, check_admissibility: bool = True,
             f"reported energy {solution.energy:g} does not match the energy recomputed "
             f"from the assignment ({recomputed:g})"
         )
+
+
+def check_certificate(problem: MinEnergyProblem, edge_flow: np.ndarray) -> float:
+    """Weak-duality lower bound on the energy of a mode-based problem.
+
+    ``edge_flow`` holds one nonnegative multiplier per precedence edge, in
+    the order of ``problem.graph.index().edge_src``.  Dualising the edge
+    rows of the Vdd-Hopping LP with them, and the start and deadline rows
+    with the best multipliers for each task, gives::
+
+        LB = sum_i max_{c >= in_i} [psi_i(c) - D * max(0, c - out_i)]
+        psi_i(c) = w_i * min_k (P(s_k) + c) / s_k
+
+    where ``in_i`` and ``out_i`` are the flow into and out of task ``i``.
+    Every Discrete or Incremental schedule is also a Vdd-Hopping schedule
+    over the same modes, so the bound holds for all three models.  Any
+    nonnegative flow gives a valid bound; the LP's optimal multipliers
+    give its optimum.  Each concave piecewise-linear term peaks at
+    ``c = in_i``, at ``c = max(in_i, out_i)`` or at a mode breakpoint
+    ``c_k = (P(s_{k+1}) s_k - P(s_k) s_{k+1}) / (s_{k+1} - s_k)`` (where
+    the cheapest mode per unit of work moves up), so the bound costs
+    O(n * modes + |E|) and reads only the graph, the modes, the power law
+    and the deadline.
+
+    Raises
+    ------
+    InvalidModelError
+        If the problem's model has no modes.
+    InvalidSolutionError
+        If ``edge_flow`` is not one finite nonnegative value per edge.
+    """
+    model = problem.model
+    if not model.is_mode_based():
+        raise InvalidModelError(
+            f"check_certificate needs a mode-based model, got {model.name}")
+    idx = problem.graph.index()
+    flow = np.asarray(edge_flow, dtype=float)
+    if flow.shape != (idx.n_edges,) or not np.all(np.isfinite(flow)) \
+            or np.any(flow < 0.0):
+        raise InvalidSolutionError(
+            f"an edge flow must hold {idx.n_edges} finite nonnegative "
+            f"values, got an array of shape {flow.shape}")
+    n = idx.n_tasks
+    inflow = np.bincount(idx.edge_dst, weights=flow, minlength=n)
+    outflow = np.bincount(idx.edge_src, weights=flow, minlength=n)
+    speeds = np.asarray(model.modes, dtype=float)
+    power = np.array([problem.power.power(s) for s in model.modes])
+
+    def dual_terms(c: np.ndarray) -> np.ndarray:
+        # one column per candidate c: shape (n, j) per task, or (j,) shared
+        per_work = np.min((power + c[..., None]) / speeds, axis=-1)
+        return (idx.works[:, None] * per_work
+                - problem.deadline * np.maximum(0.0, c - outflow[:, None]))
+
+    ends = np.stack([inflow, np.maximum(inflow, outflow)], axis=1)
+    kinks = ((power[1:] * speeds[:-1] - power[:-1] * speeds[1:])
+             / (speeds[1:] - speeds[:-1]))
+    at_kinks = np.where(kinks >= inflow[:, None], dual_terms(kinks), -np.inf)
+    best = np.maximum(dual_terms(ends).max(axis=1),
+                      at_kinks.max(axis=1, initial=-np.inf))
+    return float(best.sum())

@@ -1,65 +1,29 @@
-"""LP relaxation of the Discrete model, declared through ``repro.modeling``.
+"""LP relaxation of the Discrete model.
 
 A Discrete-model task must run at one constant mode; relaxing that to
 *time-sharing* between modes — exactly the Vdd-Hopping semantics over the
 same mode set — yields a linear program whose optimum lower-bounds every
 discrete schedule (Vdd-Hopping dominates Discrete on any instance with the
-same modes).  This module declares that LP through the shared modeling
-layer — the same two variable blocks, work-completion equalities and
-precedence polytope as :func:`repro.vdd.lp.declare_vdd_lp` — solves it
-with any registered LP backend, and rounds the relaxed point back to a
-feasible one-mode-per-task schedule:
+same modes).  That program is the Vdd-Hopping LP itself
+(:func:`repro.vdd.lp.declare_vdd_lp` serves every mode-based model); this
+module solves it with any registered LP backend and rounds the relaxed
+point back to a feasible one-mode-per-task schedule:
 
 * the relaxed per-task duration is ``dur_i = sum_k time[i, k]``, so the
   *ideal* constant speed is ``w_i / dur_i``;
 * rounding each ideal speed **up** to the next mode can only shorten
   durations, so precedence and the deadline stay satisfied.
 
-The returned solution carries the LP optimum as ``lower_bound``, giving
-callers a per-instance optimality gap certificate for free.
+The returned solution carries the certified LP bound of
+:func:`repro.vdd.lp.solve_mode_lp` as ``lower_bound``, giving callers a
+per-instance optimality gap for free.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.models import DiscreteModel, IncrementalModel
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import Solution, SpeedAssignment, make_solution
-from repro.modeling import BACKENDS, LinearModel, declare_precedence
-from repro.utils.errors import InvalidModelError
-
-
-def declare_discrete_relaxation(problem: MinEnergyProblem) -> LinearModel:
-    """Declare the time-sharing LP relaxation as a :class:`LinearModel`."""
-    model = problem.model
-    if not isinstance(model, (DiscreteModel, IncrementalModel)):
-        raise InvalidModelError(
-            f"the discrete LP relaxation expects a Discrete or Incremental "
-            f"model, got {model.name}"
-        )
-    idx = problem.graph.index()
-    n = idx.n_tasks
-    modes_arr = np.asarray(model.modes, dtype=float)
-    m = len(model.modes)
-
-    lm = LinearModel(name="discrete-lp-relaxation")
-    time = lm.add_variables("time", n * m, lower=0.0)
-    completion = lm.add_variables("completion", n, lower=0.0,
-                                  upper=problem.deadline)
-    lm.add_objective(time, np.tile(
-        np.array([problem.power.power(s) for s in model.modes]), n))
-    lm.add_constraints(
-        "work", sense="eq", rhs=idx.works.astype(float),
-        terms=[(time,
-                np.repeat(np.arange(n, dtype=np.int64), m),
-                np.arange(n * m, dtype=np.int64),
-                np.tile(modes_arr, n))])
-    declare_precedence(
-        lm, completion=completion, duration_block=time,
-        duration_cols=np.arange(n * m, dtype=np.int64).reshape(n, m),
-        edge_src=idx.edge_src, edge_dst=idx.edge_dst)
-    return lm
+from repro.vdd.lp import solve_mode_lp
 
 
 def solve_discrete_lp_relaxation(problem: MinEnergyProblem, *,
@@ -69,23 +33,22 @@ def solve_discrete_lp_relaxation(problem: MinEnergyProblem, *,
     Parameters
     ----------
     problem:
-        The instance; its model must be Discrete or Incremental.
+        The instance; its model must be mode-based (Discrete or
+        Incremental).
     backend:
         Any LP backend registered on :data:`repro.modeling.BACKENDS`.
 
     Raises
     ------
+    InvalidModelError
+        If the model has no modes.
     InfeasibleProblemError
         If the deadline cannot be met at the fastest mode.
     UnknownBackendError
         If no registered LP backend matches ``backend``.
     """
-    problem.ensure_feasible()
+    x, bound, metadata = solve_mode_lp(problem, backend)
     model = problem.model
-    lm = declare_discrete_relaxation(problem)
-    result = BACKENDS.solve(lm, backend=backend)
-    x = result.x
-
     idx = problem.graph.index()
     n = idx.n_tasks
     m = len(model.modes)
@@ -100,10 +63,7 @@ def solve_discrete_lp_relaxation(problem: MinEnergyProblem, *,
         # tiny LP tolerances can push the ideal a hair above the top mode
         speeds[name] = model.round_up(min(ideal, model.modes[-1]))
 
-    metadata = dict(result.metadata)
-    metadata["lp_objective"] = result.objective
-    metadata["n_variables"] = int(lm.n_variables)
     return make_solution(
         problem, SpeedAssignment(speeds),
         solver=f"discrete-lp-relaxation-{metadata['backend']}",
-        optimal=False, lower_bound=result.objective, metadata=metadata)
+        optimal=False, lower_bound=bound, metadata=metadata)

@@ -134,7 +134,7 @@ REGISTRY.register(
                    doc="LP backend registered on repro.modeling.BACKENDS"),
     ),
     doc="Time-sharing LP relaxation rounded up to one mode per task "
-        "(LP optimum attached as lower_bound).",
+        "(certified LP bound attached as lower_bound).",
 )(solve_discrete_lp_relaxation)
 
 BACKENDS.announce_route("lp", "discrete/lp-relaxation")

@@ -16,7 +16,6 @@ from repro.modeling.backends import (
     BackendSolveResult,
     DEFAULT_BACKEND,
     ModelBackend,
-    SIMPLEX_MAX_VARIABLES,
 )
 from repro.modeling.model import (
     ConvexModel,
@@ -41,7 +40,6 @@ __all__ = [
     "MaterializedLP",
     "ModelBackend",
     "PowerObjective",
-    "SIMPLEX_MAX_VARIABLES",
     "UnknownBackendError",
     "VariableBlock",
     "declare_precedence",

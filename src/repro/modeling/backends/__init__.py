@@ -4,8 +4,6 @@ Importing this package registers the built-in backends on the shared
 :data:`~repro.modeling.backends.registry.BACKENDS` registry:
 
 * ``highs`` — SciPy's HiGHS, sparse-native, simplex/IPM auto-switch (LP);
-* ``simplex`` — the library's educational dense tableau simplex (LP,
-  size-guarded);
 * ``mehrotra-ipm`` — the sparse Mehrotra predictor-corrector interior
   point (convex);
 * ``cvxpy`` / ``ecos`` / ``scs`` — optional, probe-gated: registered
@@ -26,8 +24,6 @@ from repro.modeling.backends.registry import (
 from repro.modeling.backends import cvxpy_backend  # noqa: F401
 from repro.modeling.backends import highs  # noqa: F401
 from repro.modeling.backends import mehrotra  # noqa: F401
-from repro.modeling.backends import simplex  # noqa: F401
-from repro.modeling.backends.simplex import SIMPLEX_MAX_VARIABLES
 
 __all__ = [
     "BACKENDS",
@@ -35,5 +31,4 @@ __all__ = [
     "BackendSolveResult",
     "DEFAULT_BACKEND",
     "ModelBackend",
-    "SIMPLEX_MAX_VARIABLES",
 ]

@@ -54,4 +54,7 @@ def _solve_highs(mat: MaterializedLP, options: Mapping[str, Any],
     return result.x, float(result.fun), {
         "highs_method": method,
         "iterations": int(result.nit),
+        # scipy reports d(objective)/d(b_ub) <= 0; the multipliers are its
+        # negation
+        "duals": -result.ineqlin.marginals,
     }

@@ -43,11 +43,18 @@ DEFAULT_BACKEND = {"lp": "highs", "convex": "mehrotra-ipm"}
 
 @dataclass(frozen=True)
 class BackendSolveResult:
-    """Outcome of one backend solve: the point, its objective, diagnostics."""
+    """Outcome of one backend solve: the point, its objective, diagnostics.
+
+    ``duals`` holds the nonnegative multipliers of the ``<=`` rows in
+    materialised row order, or ``None`` when the backend reports none.
+    They stay off ``metadata``, which travels into cache envelopes and
+    result rows.
+    """
 
     x: np.ndarray
     objective: float
     metadata: dict[str, Any] = field(default_factory=dict)
+    duals: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,17 @@ class BackendRegistry:
         :class:`BackendUnavailableError` for probe-gated backends whose
         probe failed.
         """
+        fitting = sorted(n for n, e in self._backends.items()
+                         if kind is None or kind in e.kinds)
         entry = self._backends.get(name)
         if entry is None:
+            scope = "" if kind is None else f" for {kind!r} models"
             raise UnknownBackendError(
-                f"unknown backend {name!r} (registered backends: "
-                f"{', '.join(self.names()) or '<none>'}; available for this "
-                f"environment: {', '.join(self.available()) or '<none>'})"
+                f"unknown backend {name!r} (registered backends{scope}: "
+                f"{', '.join(fitting) or '<none>'}; available for this "
+                f"environment: {', '.join(self.available(kind)) or '<none>'})"
             )
         if kind is not None and kind not in entry.kinds:
-            fitting = sorted(n for n, e in self._backends.items()
-                             if kind in e.kinds)
             raise UnknownBackendError(
                 f"backend {name!r} does not consume {kind!r} models "
                 f"(it handles: {', '.join(entry.kinds)}); backends for "
@@ -213,7 +221,9 @@ class BackendRegistry:
 
         ``backend=None`` picks the kind's default.  The returned metadata
         always carries ``backend``, ``build_seconds``, ``solve_seconds``
-        and ``model_fingerprint`` next to whatever the backend reported.
+        and ``model_fingerprint`` next to whatever the backend reported;
+        a backend's ``"duals"`` metadata entry moves to
+        :attr:`BackendSolveResult.duals`.
         """
         name = backend or DEFAULT_BACKEND[model.kind]
         entry = self.resolve(name, kind=model.kind)
@@ -224,6 +234,7 @@ class BackendRegistry:
                                           dict(hints or {}))
         solve_seconds = time.perf_counter() - start
         merged = dict(metadata)
+        duals = merged.pop("duals", None)
         merged.update({
             "backend": name,
             "build_seconds": float(materialized.build_seconds),
@@ -231,7 +242,7 @@ class BackendRegistry:
             "model_fingerprint": materialized.fingerprint,
         })
         return BackendSolveResult(x=x, objective=float(objective),
-                                  metadata=merged)
+                                  metadata=merged, duals=duals)
 
 
 #: The process-wide backend registry.  The built-in backends register at

@@ -184,6 +184,11 @@ class MicroBatcher:
             self._execute(batch)
 
     def _execute(self, batch: list[tuple[Any, dict[str, Any], Future]]) -> None:
+        # claim every member before solving: a future its submitter already
+        # cancelled drops out here, and a claimed one can no longer be
+        # cancelled, so set_result below cannot raise InvalidStateError
+        batch = [entry for entry in batch
+                 if entry[2].set_running_or_notify_cancel()]
         # group by solver parameters; typical ticks are uniform -> one call
         groups: dict[tuple, list[tuple[int, Any, dict[str, Any]]]] = {}
         for pos, (item, spec, future) in enumerate(batch):

@@ -18,7 +18,7 @@ undeclared or ill-typed options raise
 :class:`~repro.utils.errors.InvalidOptionError` — nothing is silently
 swallowed any more.  The legacy call shapes keep working: ``solve(problem)``,
 ``solve(problem, exact=True)`` for the NP-complete models, and extra
-keyword arguments such as ``backend="simplex"`` or ``k=10`` are folded into
+keyword arguments such as ``backend="highs"`` or ``k=10`` are folded into
 ``options`` (and validated).
 
 Passing a :class:`repro.cache.ResultCache` as ``cache=`` makes the call
@@ -123,7 +123,7 @@ def solve(problem: MinEnergyProblem, *, method: str | None = None,
         Optional :class:`repro.cache.ResultCache`; hits skip the solver and
         return a rebuilt solution with ``metadata["cache_hit"] = True``.
     **kwargs:
-        Legacy spelling of ``options`` (e.g. ``backend="simplex"``,
+        Legacy spelling of ``options`` (e.g. ``backend="highs"``,
         ``k=10``); merged into ``options`` and validated the same way.
 
     Returns

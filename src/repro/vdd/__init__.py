@@ -8,11 +8,9 @@ objective ``sum_k P(s_k) * time_{i,k}`` is linear as well.
 
 Modules:
 
-* :mod:`repro.vdd.lp` — the LP formulation, solved either by SciPy's HiGHS
-  backend or by the library's own dense simplex;
-* :mod:`repro.vdd.simplex` — a self-contained Big-M dense simplex solver
-  (no external dependency), used as an alternative backend and as a
-  cross-check in tests;
+* :mod:`repro.vdd.lp` — the LP formulation, solved by SciPy's HiGHS (or
+  any LP backend registered on :data:`repro.modeling.BACKENDS`), its
+  optimum certified by :func:`repro.core.validation.check_certificate`;
 * :mod:`repro.vdd.mixing` — the fast two-adjacent-mode construction: keep
   the Continuous-optimal durations and emulate each ideal speed by mixing
   the two bracketing modes (an upper bound on the LP optimum, exact when
@@ -21,7 +19,6 @@ Modules:
 
 from repro.vdd.lp import solve_vdd_lp, build_vdd_lp
 from repro.vdd.mixing import solve_vdd_mixing, two_mode_mix
-from repro.vdd.simplex import SimplexResult, solve_lp_simplex
 from repro.vdd.solve import solve_vdd_hopping
 
 __all__ = [
@@ -29,7 +26,5 @@ __all__ = [
     "build_vdd_lp",
     "solve_vdd_mixing",
     "two_mode_mix",
-    "SimplexResult",
-    "solve_lp_simplex",
     "solve_vdd_hopping",
 ]

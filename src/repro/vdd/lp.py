@@ -24,14 +24,19 @@ equivalent would (each precedence row holds ``m + 2`` non-zeros out of
 actual sparse footprint next to the dense equivalent.
 
 Any LP backend registered on :data:`repro.modeling.BACKENDS` can consume
-the result: SciPy's HiGHS (default, sparse-native), the library's own
-educational dense simplex (size-guarded), or the optional cvxpy-family
-backends when installed.
+the result: SciPy's HiGHS (default, sparse-native) or the optional
+cvxpy-family backends when installed.  The same declaration over the same
+modes is the time-sharing relaxation of the Discrete and Incremental
+models (:mod:`repro.discrete.relaxation`).  Every solve is certified:
+:func:`repro.core.validation.check_certificate` turns the backend's
+precedence-row multipliers into a lower bound on the optimum, recorded as
+the solution's ``lower_bound`` with the relative ``certificate_gap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy import sparse
@@ -39,16 +44,18 @@ from scipy import sparse
 from repro.core.models import VddHoppingModel
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import HoppingAssignment, Solution, make_solution
-from repro.modeling import BACKENDS, LinearModel, SIMPLEX_MAX_VARIABLES, declare_precedence
+from repro.core.validation import check_certificate
+from repro.modeling import BACKENDS, LinearModel, declare_precedence
 from repro.utils.errors import InvalidModelError
 
-__all__ = ["SIMPLEX_MAX_VARIABLES", "VddLP", "build_vdd_lp", "solve_vdd_lp"]
+__all__ = ["VddLP", "build_vdd_lp", "solve_mode_lp", "solve_vdd_lp"]
 
 
 @dataclass
 class VddLP:
-    """The assembled LP in matrix form, plus the variable index maps.
+    """The assembled LP in matrix form.
 
+    Columns are ``time[i, k]`` at ``i * n_modes + k``, then ``t[i]``.
     ``a_ub`` and ``a_eq`` are ``scipy.sparse`` CSR matrices; use
     ``.toarray()`` for a dense view on small instances.  ``model`` is the
     underlying :class:`repro.modeling.LinearModel` declaration — hand it to
@@ -61,25 +68,7 @@ class VddLP:
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
     bounds: list[tuple[float, float | None]]
-    task_names: list[str]
-    modes: tuple[float, ...]
     model: LinearModel
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_names)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    def time_index(self, task_idx: int, mode_idx: int) -> int:
-        """Column of the ``time[task, mode]`` variable."""
-        return task_idx * self.n_modes + mode_idx
-
-    def completion_index(self, task_idx: int) -> int:
-        """Column of the ``t[task]`` variable."""
-        return self.n_tasks * self.n_modes + task_idx
 
     def constraint_memory(self) -> dict[str, int]:
         """Actual sparse constraint-matrix bytes vs the dense equivalent."""
@@ -93,14 +82,17 @@ class VddLP:
 
 
 def declare_vdd_lp(problem: MinEnergyProblem) -> LinearModel:
-    """Declare the Vdd-Hopping LP as a :class:`repro.modeling.LinearModel`."""
+    """Declare the Vdd-Hopping LP over ``problem.model.modes``.
+
+    Serves Vdd-Hopping, Discrete and Incremental models alike: for the
+    latter two it is the time-sharing relaxation.
+    """
     model = problem.model
-    if not isinstance(model, VddHoppingModel):
+    if not model.is_mode_based():
         raise InvalidModelError(
-            f"build_vdd_lp expects a VddHoppingModel, got {model.name}"
+            f"the Vdd-Hopping LP needs a mode-based model, got {model.name}"
         )
-    graph = problem.graph
-    idx = graph.index()
+    idx = problem.graph.index()
     n = idx.n_tasks
     modes_arr = np.asarray(model.modes, dtype=float)
     m = len(model.modes)
@@ -134,25 +126,20 @@ def build_vdd_lp(problem: MinEnergyProblem) -> VddLP:
     """Assemble the Vdd-Hopping LP for a problem instance (sparse CSR)."""
     lm = declare_vdd_lp(problem)
     mat = lm.materialize()
-    idx = problem.graph.index()
     return VddLP(c=mat.c, a_ub=mat.a_ub, b_ub=mat.b_ub, a_eq=mat.a_eq,
-                 b_eq=mat.b_eq, bounds=mat.bounds,
-                 task_names=list(idx.names), modes=problem.model.modes,
-                 model=lm)
+                 b_eq=mat.b_eq, bounds=mat.bounds, model=lm)
 
 
-def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Solution:
-    """Optimal Vdd-Hopping solution via linear programming (Theorem 3).
+def solve_mode_lp(problem: MinEnergyProblem, backend: str
+                  ) -> tuple[np.ndarray, float, dict[str, Any]]:
+    """Solve the Vdd-Hopping LP of a mode-based problem and certify it.
 
-    Parameters
-    ----------
-    problem:
-        The instance; its model must be a :class:`VddHoppingModel`.
-    backend:
-        Any LP backend registered on :data:`repro.modeling.BACKENDS` —
-        ``"highs"`` (default, sparse-native), ``"simplex"`` (the library's
-        own solver, intended for small instances and cross-checks), or an
-        optional backend such as ``"cvxpy"`` when installed.
+    Returns the LP point, the lower bound that
+    :func:`~repro.core.validation.check_certificate` derives from the
+    backend's precedence-row multipliers (from the zero flow, sound but
+    loose, when the backend reports none) and the backend metadata with
+    ``lp_objective``, ``certificate_gap`` (``(lp_objective - bound) /
+    lp_objective``) and the LP's size.
 
     Raises
     ------
@@ -166,14 +153,58 @@ def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Soluti
     problem.ensure_feasible()
     lp = build_vdd_lp(problem)
     result = BACKENDS.solve(lp.model, backend=backend)
-    x = result.x
+    # the precedence rows are the first <= rows, in edge order
+    n_edges = problem.graph.index().n_edges
+    flow = (np.zeros(n_edges) if result.duals is None
+            else np.maximum(result.duals[:n_edges], 0.0))
+    bound = check_certificate(problem, flow)
+    metadata = dict(result.metadata)
+    metadata["lp_objective"] = result.objective
+    metadata["certificate_gap"] = (result.objective - bound) / result.objective
+    metadata["n_variables"] = int(lp.c.size)
+    metadata["n_constraints"] = int(lp.a_ub.shape[0] + lp.a_eq.shape[0])
+    metadata.update(lp.constraint_memory())
+    return result.x, bound, metadata
 
+
+def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Solution:
+    """Optimal Vdd-Hopping solution via linear programming (Theorem 3).
+
+    The solution's ``lower_bound`` is the certified bound of
+    :func:`solve_mode_lp`.
+
+    Parameters
+    ----------
+    problem:
+        The instance; its model must be a :class:`VddHoppingModel`.
+    backend:
+        Any LP backend registered on :data:`repro.modeling.BACKENDS` —
+        ``"highs"`` (default, sparse-native) or an optional backend such
+        as ``"cvxpy"`` when installed.
+
+    Raises
+    ------
+    InvalidModelError
+        If the model is not Vdd-Hopping.
+    InfeasibleProblemError
+        If the deadline cannot be met at the fastest mode.
+    UnknownBackendError
+        If no registered LP backend matches ``backend``.
+    SolverError
+        If the LP backend fails.
+    """
+    if not isinstance(problem.model, VddHoppingModel):
+        raise InvalidModelError(
+            f"solve_vdd_lp expects a VddHoppingModel, got {problem.model.name}"
+        )
+    x, bound, metadata = solve_mode_lp(problem, backend)
+    modes = problem.model.modes
     graph = problem.graph
     segments: dict[str, list[tuple[float, float]]] = {}
-    m = lp.n_modes
-    for i, name in enumerate(lp.task_names):
+    m = len(modes)
+    for i, name in enumerate(graph.index().names):
         segs = []
-        for k, s in enumerate(lp.modes):
+        for k, s in enumerate(modes):
             t = float(x[i * m + k])
             if t > 1e-12:
                 segs.append((s, t))
@@ -181,7 +212,7 @@ def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Soluti
             # degenerate numerical case: give the task an infinitesimal slot
             # at the fastest mode (its work is positive so this cannot
             # normally happen with a correct LP solution)
-            segs = [(lp.modes[-1], graph.work(name) / lp.modes[-1])]
+            segs = [(modes[-1], graph.work(name) / modes[-1])]
         # rescale so the executed work matches exactly (the LP meets the
         # equality only up to solver tolerance)
         executed = sum(s * t for s, t in segs)
@@ -192,10 +223,5 @@ def solve_vdd_lp(problem: MinEnergyProblem, *, backend: str = "highs") -> Soluti
         segments[name] = segs
 
     assignment = HoppingAssignment(segments=segments)
-    metadata = dict(result.metadata)
-    metadata["lp_objective"] = result.objective
-    metadata["n_variables"] = int(lp.c.size)
-    metadata["n_constraints"] = int(lp.a_ub.shape[0] + lp.a_eq.shape[0])
-    metadata.update(lp.constraint_memory())
     return make_solution(problem, assignment, solver=f"vdd-lp-{backend}",
-                         optimal=True, metadata=metadata)
+                         optimal=True, lower_bound=bound, metadata=metadata)

@@ -24,8 +24,8 @@ def solve_vdd_hopping(problem: MinEnergyProblem, *, method: str = "lp",
         two-adjacent-mode heuristic built on the Continuous optimum).
     backend:
         LP backend when ``method="lp"``: any name registered on
-        :data:`repro.modeling.BACKENDS` (``"highs"``, ``"simplex"``, or an
-        installed optional backend).
+        :data:`repro.modeling.BACKENDS` (``"highs"`` or an installed
+        optional backend).
     """
     if method == "lp":
         return solve_vdd_lp(problem, backend=backend)

@@ -95,8 +95,8 @@ class TestExperimentCommand:
         assert args.shard == "2/3" and args.out == "s.json"
         args = parser.parse_args(["merge", "a.json", "b.json", "--csv"])
         assert args.dumps == ["a.json", "b.json"]
-        args = parser.parse_args(["solve", "g.json", "--backend", "simplex"])
-        assert args.backend == "simplex"
+        args = parser.parse_args(["solve", "g.json", "--backend", "highs"])
+        assert args.backend == "highs"
         args = parser.parse_args(["backends", "--json"])
         assert args.command == "backends" and args.json
 
@@ -105,8 +105,10 @@ class TestBackendsCommand:
     def test_lists_registered_backends_with_availability(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("highs", "simplex", "mehrotra-ipm", "cvxpy"):
+        for name in ("highs", "mehrotra-ipm", "cvxpy"):
             assert name in out
+        assert not any(line.startswith("simplex ")
+                       for line in out.splitlines())
         assert "registered backend(s)" in out
         # the probe-gated optional entries always appear, marked either way
         assert "optional" in out
@@ -123,18 +125,25 @@ class TestBackendsCommand:
 
     def test_solve_backend_flag_routes_to_the_registry(self, graph_file, capsys):
         code = main(["solve", str(graph_file), "--model", "vdd",
-                     "--backend", "simplex"])
+                     "--backend", "highs"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["solver"] == "vdd-lp-simplex"
+        assert payload["solver"] == "vdd-lp-highs"
+        # the certified bound rides along with the optimum
+        assert payload["lower_bound"] == pytest.approx(payload["energy"],
+                                                       rel=1e-6)
 
     def test_solve_unknown_backend_names_the_available_set(self, graph_file,
                                                            capsys):
-        code = main(["solve", str(graph_file), "--model", "vdd",
-                     "--backend", "cplex"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown backend" in err and "highs" in err
+        for backend in ("cplex", "simplex"):
+            code = main(["solve", str(graph_file), "--model", "vdd",
+                         "--backend", backend])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown backend {backend!r}" in err
+            # the registered LP backends, not the convex-only ones
+            assert "for 'lp' models:" in err and "highs" in err
+            assert "mehrotra-ipm" not in err
 
 
 class TestJobsCommand:

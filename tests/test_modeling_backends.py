@@ -1,8 +1,10 @@
 """Cross-backend parity suite for the declarative modeling layer.
 
-Every *available* registered backend must agree on the optimum of the same
-declared model, across the graph families of the paper — and unavailable
-optional backends must skip with their probe's reason, never fail.  The
+Every *available* registered backend must reach the optimum of the same
+declared model, across the graph families of the paper — for the LP
+backends, the optimum that :func:`repro.core.validation.check_certificate`
+proves from HiGHS's duals — and unavailable optional backends must skip
+with their probe's reason, never fail.  The
 suite also covers the modeling layer itself: materialise-once caching,
 freeze-after-materialise, fingerprints, the typed backend errors, and the
 no-densification guarantee of the large-n solve path.
@@ -19,7 +21,7 @@ from scipy import sparse as sp
 from repro.core.models import ContinuousModel, DiscreteModel, VddHoppingModel
 from repro.core.problem import MinEnergyProblem
 from repro.core.power import PowerLaw
-from repro.core.validation import check_solution
+from repro.core.validation import check_certificate, check_solution
 from repro.continuous.sparse import solve_general_convex_sparse
 from repro.discrete.relaxation import solve_discrete_lp_relaxation
 from repro.graphs import generators
@@ -38,7 +40,7 @@ from repro.utils.errors import (
     SolverError,
     UnknownOptionError,
 )
-from repro.vdd.lp import solve_vdd_lp
+from repro.vdd.lp import declare_vdd_lp, solve_vdd_lp
 
 MODES = (0.4, 0.7, 1.0)
 
@@ -65,23 +67,31 @@ def _require_available(backend: str) -> None:
         pytest.skip(f"backend {backend!r} unavailable: {reason}")
 
 
+def _certified_optimum(problem) -> float:
+    """The LP optimum as proved by ``check_certificate``.
+
+    The flow is HiGHS's precedence-row multipliers; the bound is computed
+    from the problem data alone, so it is a proof, not a second opinion.
+    """
+    result = BACKENDS.solve(declare_vdd_lp(problem), backend="highs")
+    flow = result.duals[:problem.graph.index().n_edges]
+    return check_certificate(problem, np.maximum(flow, 0.0))
+
+
 # --------------------------------------------------------------------------- #
 # parity: every available backend x every graph family
 # --------------------------------------------------------------------------- #
 class TestLPBackendParity:
-    @pytest.mark.parametrize("backend", BACKENDS.names())
+    @pytest.mark.parametrize("backend", BACKENDS.available("lp"))
     @pytest.mark.parametrize("family", sorted(GRAPHS))
     def test_vdd_lp_objective_agreement(self, backend, family):
-        entry = BACKENDS.resolve("highs")  # reference is always available
-        assert entry is not None
-        if "lp" not in BACKENDS._backends[backend].kinds:
-            pytest.skip(f"{backend!r} does not consume LP models")
-        _require_available(backend)
         problem = _problem(GRAPHS[family](), VddHoppingModel(modes=MODES))
-        reference = solve_vdd_lp(problem, backend="highs")
+        optimum = _certified_optimum(problem)
         solution = solve_vdd_lp(problem, backend=backend)
         check_solution(solution)  # feasibility of the returned point
-        assert solution.energy == pytest.approx(reference.energy, rel=1e-5)
+        assert solution.lower_bound <= optimum * (1 + 1e-12)
+        assert optimum <= solution.energy * (1 + 1e-9)
+        assert solution.energy == pytest.approx(optimum, rel=1e-5)
         assert solution.metadata["backend"] == backend
 
     @pytest.mark.parametrize("backend", BACKENDS.names())
@@ -97,16 +107,16 @@ class TestLPBackendParity:
         assert solution.energy == pytest.approx(reference.energy, rel=1e-4)
         assert solution.metadata["backend"] == backend
 
-    @pytest.mark.parametrize("backend", BACKENDS.names())
+    @pytest.mark.parametrize("backend", BACKENDS.available("lp"))
     def test_discrete_relaxation_bound_and_feasibility(self, backend):
-        if "lp" not in BACKENDS._backends[backend].kinds:
-            pytest.skip(f"{backend!r} does not consume LP models")
-        _require_available(backend)
         problem = _problem(GRAPHS["sp"](), DiscreteModel(modes=MODES))
+        optimum = _certified_optimum(problem)
         solution = solve_discrete_lp_relaxation(problem, backend=backend)
         check_solution(solution)
-        assert solution.lower_bound is not None
-        assert solution.lower_bound <= solution.energy + 1e-9
+        assert solution.lower_bound <= optimum * (1 + 1e-12)
+        assert optimum <= solution.energy * (1 + 1e-9)
+        assert solution.metadata["lp_objective"] == pytest.approx(optimum,
+                                                                  rel=1e-5)
         assert solution.metadata["backend"] == backend
 
 
@@ -120,7 +130,8 @@ class TestBackendRegistry:
         assert any(e["optional"] for e in described)
         # the probe-gated entries always appear, available or not
         names = {e["name"] for e in described}
-        assert {"highs", "simplex", "mehrotra-ipm", "cvxpy"} <= names
+        assert {"highs", "mehrotra-ipm", "cvxpy"} <= names
+        assert "simplex" not in names
 
     def test_unknown_backend_lists_the_available_set(self):
         with pytest.raises(UnknownBackendError, match="highs"):
@@ -131,7 +142,7 @@ class TestBackendRegistry:
 
     def test_kind_mismatch_names_the_capable_set(self):
         with pytest.raises(UnknownBackendError, match="mehrotra-ipm"):
-            BACKENDS.resolve("simplex", kind="convex")
+            BACKENDS.resolve("highs", kind="convex")
 
     def test_unavailable_optional_backend_raises_with_reason(self):
         reason = BACKENDS.availability("cvxpy")
@@ -142,11 +153,9 @@ class TestBackendRegistry:
 
     def test_undeclared_option_is_rejected(self):
         problem = _problem(GRAPHS["chain"](), VddHoppingModel(modes=MODES))
-        from repro.vdd.lp import declare_vdd_lp
-
         model = declare_vdd_lp(problem)
-        with pytest.raises(UnknownOptionError, match="simplex"):
-            BACKENDS.solve(model, backend="simplex", options={"bogus": 1})
+        with pytest.raises(UnknownOptionError, match="highs"):
+            BACKENDS.solve(model, backend="highs", options={"bogus": 1})
 
     def test_solve_metadata_records_provenance(self):
         problem = _problem(GRAPHS["chain"](), VddHoppingModel(modes=MODES))
@@ -359,25 +368,3 @@ class TestNoDensification:
             monkeypatch.setattr(cls, "toarray", forbidden)
         solution = solve_vdd_lp(problem, backend="highs")
         assert solution.metadata["n_variables"] == 1800
-
-    def test_simplex_backend_keeps_bound_rows_sparse_until_the_boundary(self):
-        """The extra bound rows are stacked sparsely (the former np.vstack
-        densified the whole system before appending them)."""
-        calls = []
-        original = sp.vstack
-
-        def spy(blocks, *args, **kwargs):
-            calls.append([b.shape for b in blocks])
-            return original(blocks, *args, **kwargs)
-
-        problem = _problem(generators.chain(30, seed=2),
-                           VddHoppingModel(modes=MODES))
-        import repro.modeling.backends.simplex as simplex_mod
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simplex_mod.sparse, "vstack", spy)
-            solution = solve_vdd_lp(problem, backend="simplex")
-        check_solution(solution)
-        # one sparse stack of [declared rows; bound rows], no dense vstack
-        assert any(len(shapes) == 2 and shapes[1][0] == 30
-                   for shapes in calls)

@@ -25,6 +25,7 @@ from repro.solve import ensure_backends_loaded, resolve_backend, solve, solver_m
 from repro.utils.errors import (
     InvalidModelError,
     InvalidOptionError,
+    UnknownBackendError,
     UnknownOptionError,
     UnknownSolverError,
 )
@@ -98,8 +99,11 @@ class TestDispatchPerModel:
     def test_vdd_lp_backend_option(self):
         problem = _problem(VddHoppingModel(modes=MODES), n=8)
         highs = solve(problem, method="lp", options={"backend": "highs"})
-        simplex = solve(problem, method="lp", options={"backend": "simplex"})
-        assert highs.energy == pytest.approx(simplex.energy, rel=1e-6)
+        assert highs.solver == "vdd-lp-highs"
+        assert -1e-12 <= highs.metadata["certificate_gap"] <= 1e-9
+        assert highs.energy == pytest.approx(highs.lower_bound, rel=1e-6)
+        with pytest.raises(UnknownBackendError, match="highs"):
+            solve(problem, method="lp", options={"backend": "simplex"})
 
     def test_vdd_mixing_method(self):
         problem = _problem(VddHoppingModel(modes=MODES), n=8)
@@ -131,7 +135,7 @@ class TestOptionValidation:
         # pre-registry, a misspelled kwarg silently changed nothing
         problem = _problem(VddHoppingModel(modes=MODES), n=6)
         with pytest.raises(UnknownOptionError):
-            solve(problem, bakend="simplex")
+            solve(problem, bakend="highs")
 
     def test_wrong_type_raises(self):
         problem = _problem(ContinuousModel(s_max=1.0))
@@ -152,12 +156,12 @@ class TestOptionValidation:
     def test_conflicting_option_spellings_raise(self):
         problem = _problem(VddHoppingModel(modes=MODES), n=6)
         with pytest.raises(InvalidOptionError, match="backend"):
-            solve(problem, options={"backend": "highs"}, backend="simplex")
+            solve(problem, options={"backend": "highs"}, backend="cvxpy")
 
     def test_legacy_kwargs_still_work(self):
         problem = _problem(VddHoppingModel(modes=MODES), n=6)
-        solution = solve(problem, backend="simplex")
-        assert solution.solver.endswith("simplex")
+        solution = solve(problem, backend="highs")
+        assert solution.solver.endswith("highs")
         inc = _problem(IncrementalModel.from_range(0.4, 1.0, 0.2), n=6)
         assert solve(inc, k=10).metadata["k"] == 10
 

@@ -33,10 +33,10 @@ from repro.core.validation import check_solution
 from repro.graphs import generators
 from repro.graphs.analysis import longest_path_length
 from repro.solve import solve
-from repro.utils.errors import SolverError, UnknownOptionError
+from repro.utils.errors import UnknownOptionError
 from repro.utils.numerics import leq_with_tol
 from repro.utils.tables import Table
-from repro.vdd.lp import SIMPLEX_MAX_VARIABLES, build_vdd_lp, solve_vdd_lp
+from repro.vdd.lp import build_vdd_lp, solve_vdd_lp
 
 
 def _problem(graph, slack=1.5, alpha=3.0, s_max=1.0, model=None):
@@ -118,18 +118,13 @@ class TestSparseVddLP:
         assert solution.metadata["dense_equivalent_bytes"] > \
             solution.metadata["sparse_bytes"]
 
-    def test_simplex_backend_matches_highs_on_small_instances(self):
+    def test_highs_optimum_is_certified_on_small_instances(self):
         graph = generators.layered_dag(12, seed=13)
         problem = _problem(graph, model=VddHoppingModel(modes=(0.5, 1.0)))
         highs = solve_vdd_lp(problem, backend="highs")
-        simplex = solve_vdd_lp(problem, backend="simplex")
-        assert simplex.energy == pytest.approx(highs.energy, rel=1e-6)
-
-    def test_simplex_backend_size_guard(self):
-        graph = generators.chain(SIMPLEX_MAX_VARIABLES, seed=1)
-        problem = _problem(graph, model=VddHoppingModel(modes=(0.5, 1.0)))
-        with pytest.raises(SolverError, match="highs"):
-            solve_vdd_lp(problem, backend="simplex")
+        check_solution(highs)
+        assert -1e-12 <= highs.metadata["certificate_gap"] <= 1e-9
+        assert highs.energy == pytest.approx(highs.lower_bound, rel=1e-6)
 
 
 # --------------------------------------------------------------------------- #
@@ -314,13 +309,13 @@ class TestConvexSparse:
         assert by_method.solver == "continuous-convex-sparse"
         assert solve(problem, method="sparse").solver == "continuous-convex-sparse"
         assert solve(problem, method="ipm").solver == "continuous-convex-sparse"
+        from repro.modeling import BACKENDS
         from repro.utils.errors import InvalidOptionError
-        # the registry's declared choices catch it before the solver runs
-        with pytest.raises(InvalidOptionError, match="forest"):
-            solve(problem, method="convex-sparse", options={"warm_start": "x"})
-        # the solver's own guard covers direct calls
-        with pytest.raises(SolverError, match="forest"):
-            solve_general_convex_sparse(problem, warm_start="x")
+        from repro.vdd.lp import declare_vdd_lp
+        # a backend's declared choices catch a bad value before it runs
+        lp = declare_vdd_lp(problem.with_model(VddHoppingModel(modes=(0.5, 1.0))))
+        with pytest.raises(InvalidOptionError, match="highs-ipm"):
+            BACKENDS.solve(lp, backend="highs", options={"method": "x"})
 
     def test_unknown_option_names_the_backend(self):
         problem = _problem(generators.layered_dag(20, seed=2))

@@ -1,4 +1,4 @@
-"""Tests for the Vdd-Hopping solvers (Theorem 3) and the simplex backend."""
+"""Tests for the Vdd-Hopping solvers (Theorem 3) and their LP certificate."""
 
 from __future__ import annotations
 
@@ -7,85 +7,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.continuous.bounds import continuous_lower_bound
-from repro.core.models import ContinuousModel, VddHoppingModel
+from repro.core.models import (
+    ContinuousModel,
+    DiscreteModel,
+    IncrementalModel,
+    VddHoppingModel,
+)
+from repro.core.power import PowerLaw
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import HoppingAssignment
-from repro.core.validation import check_solution
+from repro.core.validation import check_certificate, check_solution
+from repro.discrete.relaxation import solve_discrete_lp_relaxation
 from repro.graphs import generators
 from repro.graphs.analysis import longest_path_length
 from repro.graphs.taskgraph import TaskGraph
-from repro.utils.errors import InfeasibleProblemError, InvalidModelError, SolverError
+from repro.modeling import BACKENDS
+from repro.utils.errors import (
+    InfeasibleProblemError,
+    InvalidModelError,
+    InvalidSolutionError,
+    SolverError,
+)
 from repro.vdd import (
     build_vdd_lp,
-    solve_lp_simplex,
     solve_vdd_hopping,
     solve_vdd_lp,
     solve_vdd_mixing,
     two_mode_mix,
 )
+from repro.vdd.lp import declare_vdd_lp
 
 
 def _problem(graph, slack, modes=(0.4, 0.7, 1.0)):
     model = VddHoppingModel(modes=modes)
     min_makespan = longest_path_length(graph) / model.max_speed
     return MinEnergyProblem(graph=graph, deadline=slack * min_makespan, model=model)
-
-
-class TestSimplex:
-    def test_simple_lp(self):
-        # minimise -x - y  s.t.  x + y <= 4, x <= 3, y <= 2, x,y >= 0
-        c = np.array([-1.0, -1.0])
-        a_ub = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        b_ub = np.array([4.0, 3.0, 2.0])
-        result = solve_lp_simplex(c, a_ub=a_ub, b_ub=b_ub)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(-4.0)
-
-    def test_equality_constraints(self):
-        # minimise x + 2y  s.t.  x + y == 3, x,y >= 0  ->  x=3, y=0
-        c = np.array([1.0, 2.0])
-        result = solve_lp_simplex(c, a_eq=np.array([[1.0, 1.0]]), b_eq=np.array([3.0]))
-        assert result.objective == pytest.approx(3.0)
-        assert result.x[0] == pytest.approx(3.0)
-
-    def test_infeasible(self):
-        # x <= 1 and x == 2
-        c = np.array([1.0])
-        result = solve_lp_simplex(c, a_ub=np.array([[1.0]]), b_ub=np.array([1.0]),
-                                  a_eq=np.array([[1.0]]), b_eq=np.array([2.0]))
-        assert result.status == "infeasible"
-
-    def test_unbounded(self):
-        # minimise -x with only x >= 0
-        c = np.array([-1.0])
-        with pytest.raises(SolverError):
-            solve_lp_simplex(c, a_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
-
-    def test_no_constraints(self):
-        result = solve_lp_simplex(np.array([1.0, 2.0]))
-        assert result.objective == 0.0
-
-    def test_redundant_equalities(self):
-        # duplicated equality rows must not break phase two
-        c = np.array([1.0, 1.0])
-        a_eq = np.array([[1.0, 1.0], [2.0, 2.0]])
-        b_eq = np.array([2.0, 4.0])
-        result = solve_lp_simplex(c, a_eq=a_eq, b_eq=b_eq)
-        assert result.objective == pytest.approx(2.0)
-
-    def test_agrees_with_scipy_on_random_lps(self):
-        from scipy import optimize
-
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            n, m = 6, 4
-            c = rng.uniform(0.1, 2.0, size=n)
-            a_ub = rng.uniform(-1.0, 1.0, size=(m, n))
-            b_ub = rng.uniform(1.0, 3.0, size=m)
-            ours = solve_lp_simplex(c, a_ub=a_ub, b_ub=b_ub)
-            ref = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, method="highs")
-            assert ours.status == "optimal"
-            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
 class TestTwoModeMix:
@@ -164,11 +120,18 @@ class TestVddLP:
         assert lp.energy <= disc.energy * (1 + 1e-6)
 
     def test_lp_backends_agree(self, small_sp_graph):
+        # every available LP backend lands on the optimum that HiGHS's
+        # duals certify; the certificate, not a second solver, is the proof
         p = _problem(small_sp_graph, 1.5)
-        highs = solve_vdd_lp(p, backend="highs")
-        simplex = solve_vdd_lp(p, backend="simplex")
-        assert highs.energy == pytest.approx(simplex.energy, rel=1e-6)
-        check_solution(simplex)
+        certified = solve_vdd_lp(p, backend="highs")
+        assert -1e-12 <= certified.metadata["certificate_gap"] <= 1e-9
+        for backend in BACKENDS.available("lp"):
+            solution = solve_vdd_lp(p, backend=backend)
+            check_solution(solution)
+            assert solution.lower_bound <= solution.energy * (1 + 1e-9)
+            assert solution.energy >= certified.lower_bound * (1 - 1e-9)
+            assert solution.energy == pytest.approx(certified.lower_bound,
+                                                    rel=1e-6)
 
     def test_unknown_backend(self, small_sp_graph):
         p = _problem(small_sp_graph, 1.5)
@@ -247,3 +210,102 @@ class TestVddMixingAndDispatch:
         lb = continuous_lower_bound(p)
         check_solution(lp)
         assert lb * (1 - 1e-6) <= lp.energy <= mixing.energy * (1 + 1e-6)
+
+
+def _diamond(n, seed):
+    rows = max(1, round(n ** 0.5))
+    return generators.diamond(rows, max(1, n // rows), seed=seed)
+
+
+#: graph classes by name; ``n`` is the (approximate) task count
+GRAPH_CLASSES = {
+    "chain": lambda n, seed: generators.chain(n, seed=seed),
+    "diamond": _diamond,
+    "erdos": lambda n, seed: generators.erdos_dag(n, seed=seed),
+    "fork": lambda n, seed: generators.fork(max(1, n - 1), seed=seed),
+    "fork_join": lambda n, seed: generators.fork_join(max(1, n - 2),
+                                                      seed=seed),
+    "join": lambda n, seed: generators.join(max(1, n - 1), seed=seed),
+    "layered": lambda n, seed: generators.layered_dag(n, seed=seed),
+    "sp": lambda n, seed: generators.random_series_parallel(n, seed=seed),
+    "tree": lambda n, seed: generators.random_tree(n, seed=seed),
+}
+
+
+def _mode_problem(graph, modes, *, slack, alpha):
+    deadline = slack * longest_path_length(graph) / max(modes)
+    return MinEnergyProblem(graph=graph, deadline=deadline,
+                            model=VddHoppingModel(modes=modes),
+                            power=PowerLaw(alpha=alpha))
+
+
+class TestCertificate:
+    def test_isolated_task_is_bounded_by_its_own_deadline(self):
+        # the LP of test_single_task_two_modes_matches_hand_computation:
+        # with no edges the bound is max_c [min((1 + c)/1, (8 + c)/2) - 0.75c],
+        # which peaks at the mode breakpoint c = 6 with the optimum 2.5
+        g = TaskGraph(tasks=[("A", 1.0)])
+        p = MinEnergyProblem(graph=g, deadline=0.75,
+                             model=VddHoppingModel(modes=(1.0, 2.0)))
+        assert check_certificate(p, np.zeros(0)) == pytest.approx(2.5)
+        assert solve_vdd_lp(p).lower_bound == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_CLASSES))
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_highs_duals_certify_every_mode_lp(self, family, alpha):
+        modes = (0.2, 0.5, 0.8, 1.0)
+        for n in (1, 30):
+            for slack in (1.0, 1.7, 3.0):
+                problem = _mode_problem(GRAPH_CLASSES[family](n, 3), modes,
+                                        slack=slack, alpha=alpha)
+                for solution in (
+                        solve_vdd_lp(problem),
+                        solve_discrete_lp_relaxation(
+                            problem.with_model(DiscreteModel(modes=modes))),
+                        solve_discrete_lp_relaxation(problem.with_model(
+                            IncrementalModel.from_range(0.2, 1.0, 0.2)))):
+                    gap = solution.metadata["certificate_gap"]
+                    assert -1e-12 <= gap <= 1e-9, (solution.solver, n, slack)
+                    assert solution.lower_bound <= solution.energy * (1 + 1e-9)
+
+    @given(family=st.sampled_from(["diamond", "erdos", "fork_join", "layered"]),
+           n=st.integers(min_value=1, max_value=40),
+           seed=st.integers(min_value=0, max_value=10**6),
+           steps=st.lists(st.integers(min_value=1, max_value=20),
+                          min_size=2, max_size=6, unique=True),
+           alpha=st.floats(min_value=1.5, max_value=4.0),
+           slack=st.one_of(st.just(1.0), st.floats(min_value=1.0,
+                                                   max_value=3.0)),
+           scale=st.floats(min_value=0.0, max_value=30.0))
+    @settings(max_examples=100, deadline=None)
+    def test_random_flows_never_bound_above_the_optimum(
+            self, family, n, seed, steps, alpha, slack, scale):
+        modes = tuple(k / 10 for k in sorted(steps))
+        problem = _mode_problem(GRAPH_CLASSES[family](n, seed), modes,
+                                slack=slack, alpha=alpha)
+        result = BACKENDS.solve(declare_vdd_lp(problem), backend="highs")
+        n_edges = problem.graph.index().n_edges
+        duals = np.maximum(result.duals[:n_edges], 0.0)
+        rng = np.random.default_rng(seed)
+        flows = [scale * rng.exponential(size=n_edges),
+                 scale * rng.exponential(size=n_edges)
+                 * (rng.random(n_edges) < 0.3),
+                 duals * rng.uniform(0.5, 1.5, size=n_edges),
+                 duals + scale * 0.01 * rng.random(n_edges)]
+        for flow in flows:
+            bound = check_certificate(problem, flow)
+            assert bound <= result.objective * (1 + 1e-9)
+
+    def test_rejects_flows_that_are_not_one_nonnegative_value_per_edge(self):
+        problem = _mode_problem(generators.chain(3, seed=1), (0.5, 1.0),
+                                slack=1.5, alpha=3.0)
+        for flow in (np.ones(3), np.array([1.0, -1e-3]),
+                     np.array([1.0, np.nan])):
+            with pytest.raises(InvalidSolutionError):
+                check_certificate(problem, flow)
+
+    def test_needs_a_mode_based_model(self, small_chain):
+        p = MinEnergyProblem(graph=small_chain, deadline=100.0,
+                             model=ContinuousModel())
+        with pytest.raises(InvalidModelError):
+            check_certificate(p, np.zeros(small_chain.n_edges))

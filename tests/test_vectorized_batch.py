@@ -189,6 +189,17 @@ class TestMicroBatcherCoalescing:
         assert stats["ticks"] < len(problems) / 2
         assert stats["mean_occupancy"] > 1.0
 
+    def test_cancelled_submission_leaves_the_tick_thread_serving(self):
+        problem = make_problem(generators.random_tree(8, seed=1))
+        with MicroBatcher(window_ms=50.0) as batcher:
+            cancelled = batcher.submit(problem)
+            assert cancelled.cancel()
+            # shares the cancelled submission's tick
+            same_tick = batcher.submit(problem)
+            assert same_tick.result(timeout=5.0).ok
+            assert batcher.solve(problem, timeout=5.0).ok
+            assert cancelled.cancelled()
+
     def test_closed_batcher_rejects_submissions(self):
         batcher = MicroBatcher()
         batcher.close()
