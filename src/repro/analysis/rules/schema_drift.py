@@ -81,6 +81,12 @@ class SchemaDriftRule(Rule):
 
     def _written_keys(self, cls: ast.ClassDef,
                       to_wire: ast.FunctionDef) -> set[str] | None:
+        # `for f in fields(self): payload[f.name] = ...` serialises every
+        # dataclass field; its `f.name` subscripts are covered by the loop
+        field_vars = {node.target.id for node in ast.walk(to_wire)
+                      if isinstance(node, ast.For)
+                      and isinstance(node.target, ast.Name)
+                      and self._iterates_fields(node)}
         keys: set[str] = set()
         for node in ast.walk(to_wire):
             if isinstance(node, ast.Dict):
@@ -97,16 +103,20 @@ class SchemaDriftRule(Rule):
                 if isinstance(node.slice, ast.Constant) \
                         and isinstance(node.slice.value, str):
                     keys.add(node.slice.value)
-                else:
+                elif not (isinstance(node.slice, ast.Attribute)
+                          and node.slice.attr == "name"
+                          and isinstance(node.slice.value, ast.Name)
+                          and node.slice.value.id in field_vars):
                     return None
-            elif isinstance(node, ast.For):
-                # `for f in fields(self)` serialises every dataclass field
-                it = node.iter
-                if isinstance(it, ast.Call) \
-                        and isinstance(it.func, ast.Name) \
-                        and it.func.id == "fields":
-                    keys.update(self._dataclass_fields(cls))
+            elif isinstance(node, ast.For) and self._iterates_fields(node):
+                keys.update(self._dataclass_fields(cls))
         return keys or None
+
+    @staticmethod
+    def _iterates_fields(loop: ast.For) -> bool:
+        it = loop.iter
+        return (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "fields")
 
     @staticmethod
     def _dataclass_fields(cls: ast.ClassDef) -> set[str]:

@@ -41,7 +41,7 @@ import random
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
@@ -84,6 +84,7 @@ from repro.utils.errors import (
 from repro.utils.tables import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.batch.engine import BatchResult
     from repro.cache import ResultCache
     from repro.core.problem import MinEnergyProblem
     from repro.service import SolverService
@@ -135,12 +136,6 @@ def backoff_intervals(initial: float = 0.05, *, factor: float = 1.6,
 # --------------------------------------------------------------------- #
 # the synchronous solve fast path (shared by transports and the server)
 # --------------------------------------------------------------------- #
-def _request_failure(request: SolveRequest, exc: BaseException) -> SolveResponse:
-    return SolveResponse.from_failure(
-        exc, name=request.name,
-        n_tasks=len(request.graph.get("tasks") or ()))
-
-
 def execute_solve(service: "SolverService", request: SolveRequest, *,
                   deadline: "Deadline | None" = None) -> SolveResponse:
     """Run one solve request on a service's coalescing fast path.
@@ -154,7 +149,9 @@ def execute_solve(service: "SolverService", request: SolveRequest, *,
     try:
         item = request.to_instance()
     except ReproError as exc:
-        return _request_failure(request, exc)
+        return SolveResponse.from_failure(
+            exc, name=request.name,
+            n_tasks=len(request.graph.get("tasks") or ()))
     result = service.solve(item, method=request.method, exact=request.exact,
                            options=request.options or None,
                            keep_speeds=request.keep_speeds,
@@ -163,27 +160,58 @@ def execute_solve(service: "SolverService", request: SolveRequest, *,
 
 
 def execute_solve_batch(service: "SolverService",
-                        requests: Sequence[SolveRequest], *,
-                        keep_speeds: bool = False) -> list[SolveResponse]:
-    """Run a pre-assembled request batch: one vectorized tick per distinct
-    parameter set, per-instance error capture, results in request order.
+                        requests: "Sequence[SolveRequest | Mapping[str, Any]]",
+                        *, keep_speeds: bool = False) -> "list[BatchResult]":
+    """Run a request batch: per-instance error capture, one row per
+    request, in request order.
+
+    ``requests`` holds :class:`SolveRequest` objects or their wire
+    payloads (the decoded ``/v1/solve_batch`` array), walked once.  A
+    payload is checked by :meth:`SolveRequest.from_wire`, which packs
+    every request the vector core takes as sent straight into one
+    :class:`~repro.batch.vectorized.PackedBatch`: those solve in one
+    vectorized call.  The other requests make one call per distinct
+    parameter set.  A request that fails its checks is a failure row.
 
     ``keep_speeds`` asks for speed maps on every row; a request's own
     ``keep_speeds`` flag turns them on for just that row.
     """
-    from repro.batch.vectorized import batch_key
+    from repro.batch.engine import BatchResult
+    from repro.batch.vectorized import BatchPacker, batch_key
 
-    rows: list[SolveResponse | None] = [None] * len(requests)
+    rows: list[BatchResult | None] = [None] * len(requests)
+    packer = BatchPacker()
+    packed: list[int] = []
     groups: dict[tuple, list[tuple[int, Any, SolveRequest]]] = {}
-    for i, request in enumerate(requests):
+    for i, entry in enumerate(requests):
+        try:
+            request = entry if isinstance(entry, SolveRequest) \
+                else SolveRequest.from_wire(entry, pack=packer)
+        except ReproError as exc:  # a bad instance is a row, not a 4xx
+            name = str(entry.get("name", "")) if isinstance(entry, dict) \
+                else ""
+            rows[i] = BatchResult.failure(i, name, 0, type(exc).__name__,
+                                          str(exc))
+            continue
+        if request is None:
+            packed.append(i)
+            continue
         try:
             item = request.to_instance()
         except ReproError as exc:
-            rows[i] = _request_failure(request, exc)
+            rows[i] = BatchResult.failure(
+                i, request.name, len(request.graph.get("tasks") or ()),
+                type(exc).__name__, str(exc))
             continue
         key = batch_key(request.method, request.exact, request.options,
                         keep_speeds or request.keep_speeds, request.validate)
         groups.setdefault(key, []).append((i, item, request))
+    if packed:
+        results = service.solve_many_now(packer.build(),
+                                         keep_speeds=keep_speeds)
+        for i, result in zip(packed, results):
+            result.index = i
+            rows[i] = result
     for members in groups.values():
         first = members[0][2]
         results = service.solve_many_now(
@@ -192,7 +220,8 @@ def execute_solve_batch(service: "SolverService",
             keep_speeds=keep_speeds or first.keep_speeds,
             validate=first.validate)
         for (i, _item, _r), result in zip(members, results):
-            rows[i] = SolveResponse.from_result(result)
+            result.index = i
+            rows[i] = result
     return rows  # type: ignore[return-value]
 
 
@@ -539,8 +568,8 @@ class LocalTransport(Transport):
 
     def solve_batch(self, requests: Sequence[SolveRequest], *,
                     keep_speeds: bool = False) -> list[SolveResponse]:
-        return execute_solve_batch(self.service(), requests,
-                                   keep_speeds=keep_speeds)
+        return [SolveResponse.from_result(row) for row in execute_solve_batch(
+            self.service(), requests, keep_speeds=keep_speeds)]
 
     def _handle(self, job_id: str):
         try:
@@ -807,8 +836,8 @@ class DiskTransport(Transport):
 
     def solve_batch(self, requests: Sequence[SolveRequest], *,
                     keep_speeds: bool = False) -> list[SolveResponse]:
-        return execute_solve_batch(self._solver(), requests,
-                                   keep_speeds=keep_speeds)
+        return [SolveResponse.from_result(row) for row in execute_solve_batch(
+            self._solver(), requests, keep_speeds=keep_speeds)]
 
     def drain(self, *, timeout: float | None = None) -> int:
         """Wait for the in-flight runner threads to finish their jobs.

@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.utils.errors import (
     AuthError,
@@ -85,7 +86,7 @@ from repro.utils.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.batch.engine import BatchResult
-    from repro.batch.vectorized import InstanceSpec
+    from repro.batch.vectorized import BatchPacker, InstanceSpec
     from repro.core.problem import MinEnergyProblem
 from repro.utils.tables import Table
 
@@ -412,11 +413,19 @@ class SolveRequest:
         return payload
 
     @classmethod
-    def from_wire(cls, payload: Any) -> "SolveRequest":
+    def from_wire(cls, payload: Any, *, pack: "BatchPacker | None" = None
+                  ) -> "SolveRequest | None":
         """Decode and validate a wire payload into a request.
 
         Raises :class:`SchemaVersionError` for unknown versions and
         :class:`TransportError` for structurally malformed payloads.
+
+        With ``pack`` (the ``/v1/solve_batch`` decode), a valid request
+        the vector core takes as sent — Continuous, an absolute deadline,
+        no ``method``/``exact``/``options``/``keep_speeds``/``validate`` —
+        is appended to that packer instead and ``None`` comes back: no
+        request object is built for it.  Every other request comes back
+        as usual.
         """
         if not isinstance(payload, Mapping):
             raise TransportError(
@@ -424,8 +433,7 @@ class SolveRequest:
                 f"{type(payload).__name__}"
             )
         check_schema_version(payload, what="solve request")
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known - {"schema_version"}
+        unknown = payload.keys() - _SOLVE_REQUEST_KEYS
         if unknown:
             raise TransportError(
                 f"malformed solve request: unknown fields {sorted(unknown)}")
@@ -436,30 +444,37 @@ class SolveRequest:
                 "malformed solve request: graph must be an object with a "
                 "tasks mapping")
         try:
-            deadline = payload.get("deadline")
-            slack = payload.get("slack")
-            s_max = payload.get("s_max", cls.s_max)
-            return cls(
-                graph=dict(graph),
-                deadline=None if deadline is None else float(deadline),
-                slack=None if slack is None else float(slack),
-                model=str(payload.get("model", cls.model)),
-                s_max=None if s_max is None else float(s_max),
-                modes=tuple(float(m) for m in payload.get("modes") or ()),
-                alpha=float(payload.get("alpha", cls.alpha)),
-                method=(None if payload.get("method") is None
-                        else str(payload["method"])),
-                exact=(None if payload.get("exact") is None
-                       else bool(payload["exact"])),
-                options=dict(payload.get("options") or {}),
-                keep_speeds=bool(payload.get("keep_speeds", False)),
-                validate=bool(payload.get("validate", False)),
-                name=str(payload.get("name", "")),
-            )
-        except (InvalidModelError, InvalidOptionError):
-            raise
+            deadline = _opt_float(payload.get("deadline"))
+            slack = _opt_float(payload.get("slack"))
+            model = str(payload.get("model", cls.model))
+            s_max = _opt_float(payload.get("s_max", cls.s_max))
+            modes = tuple(float(m) for m in payload.get("modes") or ())
+            alpha = float(payload.get("alpha", cls.alpha))
+            method = payload.get("method")
+            method = None if method is None else str(method)
+            exact = payload.get("exact")
+            exact = None if exact is None else bool(exact)
+            options = dict(payload.get("options") or {})
+            keep_speeds = bool(payload.get("keep_speeds", False))
+            validate = bool(payload.get("validate", False))
+            name = str(payload.get("name", ""))
         except (TypeError, ValueError, KeyError, IndexError) as exc:
             raise TransportError(f"malformed solve request: {exc}") from exc
+        if pack is not None and model == "continuous" and slack is None \
+                and deadline is not None and method is None and exact is None \
+                and not (options or keep_speeds or validate) \
+                and pack.add(graph, deadline=deadline, s_max=s_max,
+                             alpha=alpha, name=name):
+            return None
+        return cls(graph=dict(graph), deadline=deadline, slack=slack,
+                   model=model, s_max=s_max, modes=modes, alpha=alpha,
+                   method=method, exact=exact, options=options,
+                   keep_speeds=keep_speeds, validate=validate, name=name)
+
+
+#: Keys a solve request payload may carry.
+_SOLVE_REQUEST_KEYS = frozenset(
+    [f.name for f in fields(SolveRequest)] + ["schema_version"])
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,9 @@ grids, gaps and overlaps::
 from repro.batch.engine import BatchResult, failed, solve_many, summarize
 from repro.batch.vectorized import (
     VECTORIZE_MAX_TASKS,
+    BatchPacker,
     InstanceSpec,
+    PackedBatch,
     solve_batch,
     spec_from_graph_dict,
     spec_from_problem,
@@ -96,9 +98,11 @@ from repro.batch.sweep import (
 )
 
 __all__ = [
+    "BatchPacker",
     "BatchResult",
     "COORD_COLUMNS",
     "InstanceSpec",
+    "PackedBatch",
     "SHARD_STRATEGIES",
     "SWEEP_COLUMNS",
     "ShardDump",

@@ -4,12 +4,30 @@ The closed-form/tree/series-parallel solvers of Theorem 1/2 cost
 microseconds of arithmetic per instance, but the scalar pipeline wraps each
 one in graph construction, registry dispatch and (in the service) a process
 pool hop — at the many-small-graphs shape the per-instance overhead
-dominates by orders of magnitude.  This module removes it: ``solve_batch``
-packs B instances into flat NumPy arrays (concatenated node works with
-per-instance offset vectors and a level-sorted child CSR) and solves *all of
-them at once* with one segment-reduced bottom-up equivalent-load pass and
-one top-down window pass.  No per-instance Python dispatch, no pickling, no
+dominates by orders of magnitude.  This module removes it: B instances are
+packed into one :class:`PackedBatch` of flat NumPy arrays (concatenated
+task works with per-instance offsets, batch-wide edge ids) and solved *all
+at once* with one segment-reduced bottom-up equivalent-load pass and one
+top-down window pass.  No per-instance Python dispatch, no pickling, no
 pool hop.
+
+Packed batches
+--------------
+A :class:`PackedBatch` is the vector core's one input.  Two packers fill
+it:
+
+- :func:`solve_batch` lowers :class:`MinEnergyProblem` objects and
+  :class:`InstanceSpec` entries (the library and the micro-batcher);
+- :class:`BatchPacker` appends wire graph dicts one at a time to plain
+  lists and converts them once, so ``POST /v1/solve_batch`` decodes
+  straight into the core's arrays
+  (:meth:`repro.api.protocol.SolveRequest.from_wire` with ``pack=``)
+  without an object or an array per instance.
+
+Every reduction over instances is a ``bincount`` over per-task instance
+ids: it is safe for instances without tasks, and it sums each instance's
+terms in that instance's own order, so a row does not depend on which
+other instances share its batch.
 
 Unified computation forest
 --------------------------
@@ -42,21 +60,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.batch.engine import BatchResult, _WorkItem, _solve_one
 from repro.core.models import ContinuousModel
-from repro.core.problem import MinEnergyProblem
-from repro.graphs.sp_decomposition import (
-    NotSeriesParallelError,
-    SPLeaf,
-    SPParallel,
-    sp_decompose,
-)
+from repro.core.power import CUBIC, PowerLaw
+from repro.core.problem import MinEnergyProblem, default_problem_name
+from repro.graphs.io import graph_dict_name, graph_from_dict
+from repro.graphs.sp_decomposition import SPLeaf, SPParallel, sp_decompose
 from repro.graphs.taskgraph import TaskGraph
-from repro.utils.errors import InvalidGraphError
+from repro.utils.errors import InvalidGraphError, NotSeriesParallelError
 from repro.utils.numerics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
 #: Instances above this task count go to the scalar path: the vector win is
@@ -75,14 +90,14 @@ SP_BATCH_SOLVER = "continuous-sp-batch"
 # --------------------------------------------------------------------------- #
 @dataclass
 class InstanceSpec:
-    """One solve instance in array form (the wire-to-vector fast path).
+    """One solve instance in array form (a single request, or a problem).
 
     A spec is the minimal data the packed solver needs: the work vector in
     task order, the edge list as index pairs, and the scalar parameters.
-    Specs built straight from a decoded request dict skip ``TaskGraph``
-    construction entirely; the full problem object is only materialised
-    lazily (``materialise``) when the instance has to take the scalar
-    fallback path.
+    Specs built straight from a decoded request dict (``/v1/solve``) skip
+    ``TaskGraph`` construction entirely; the full problem object is only
+    materialised lazily (``materialise``) when the instance has to take
+    the scalar fallback path.
     """
 
     works: np.ndarray
@@ -105,26 +120,35 @@ class InstanceSpec:
 
     @property
     def display_name(self) -> str:
-        if self.name:
-            return self.name
-        return f"MinEnergy({self.graph_name}, D={self.deadline:g})"
+        return self.name or default_problem_name(self.graph_name,
+                                                 self.deadline)
 
     def materialise(self) -> MinEnergyProblem:
         """The full problem object (built on demand for fallback/validation)."""
         if self.problem is None:
-            from repro.core.power import CUBIC, PowerLaw
-            from repro.graphs.io import graph_from_dict
-
-            if self.graph_data is None:  # pragma: no cover - spec invariant
+            if self.graph_data is None:
                 raise InvalidGraphError(
                     "instance spec carries neither a problem nor graph data")
-            graph = graph_from_dict(self.graph_data)
-            power = CUBIC if self.alpha == 3.0 else PowerLaw(alpha=self.alpha)
-            self.problem = MinEnergyProblem(
-                graph=graph, deadline=self.deadline,
-                model=ContinuousModel(s_max=self.s_max), power=power,
-                name=self.name)
+            self.problem = _graph_dict_problem(
+                self.graph_data, deadline=self.deadline, alpha=self.alpha,
+                s_max=self.s_max, name=self.name)
         return self.problem
+
+
+def _graph_dict_problem(data: Mapping[str, Any], *, deadline: float,
+                        alpha: float, s_max: float,
+                        name: str) -> MinEnergyProblem:
+    """The Continuous problem over a ``graph_to_dict`` payload."""
+    power = CUBIC if alpha == 3.0 else PowerLaw(alpha=alpha)
+    return MinEnergyProblem(
+        graph=graph_from_dict(data), deadline=deadline,
+        model=ContinuousModel(s_max=s_max), power=power, name=name)
+
+
+def _edge_ids(edges: Any, index_of: Mapping[Any, int]
+              ) -> tuple[list[int], list[int]]:
+    """Task ids of every edge's endpoints (raises on a malformed entry)."""
+    return ([index_of[e[0]] for e in edges], [index_of[e[1]] for e in edges])
 
 
 def spec_from_problem(problem: MinEnergyProblem) -> InstanceSpec:
@@ -157,21 +181,162 @@ def spec_from_graph_dict(data: dict[str, Any], *, deadline: float,
     try:
         tasks = data["tasks"]
         works = np.fromiter(tasks.values(), dtype=np.float64, count=len(tasks))
-    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+    except (TypeError, KeyError, AttributeError, ValueError,
+            OverflowError) as exc:
         raise InvalidGraphError(f"malformed graph payload: {exc}") from exc
     index_of = {task: i for i, task in enumerate(tasks)}
-    edges = data.get("edges") or ()
     try:
-        src = np.fromiter((index_of[e[0]] for e in edges), dtype=np.int64,
-                          count=len(edges))
-        dst = np.fromiter((index_of[e[1]] for e in edges), dtype=np.int64,
-                          count=len(edges))
+        src, dst = _edge_ids(data.get("edges") or (), index_of)
     except (KeyError, IndexError, TypeError) as exc:
         raise InvalidGraphError(f"malformed edge list: {exc}") from exc
     return InstanceSpec(
-        works=works, task_names=tuple(index_of), edges_src=src, edges_dst=dst,
+        works=works, task_names=tuple(index_of),
+        edges_src=np.array(src, dtype=np.int64),
+        edges_dst=np.array(dst, dtype=np.int64),
         deadline=deadline, alpha=alpha, s_max=s_max, name=name,
-        graph_name=str(data.get("name", "")), graph_data=data)
+        graph_name=graph_dict_name(data), graph_data=data)
+
+
+# --------------------------------------------------------------------------- #
+# packed batches
+# --------------------------------------------------------------------------- #
+@dataclass
+class PackedBatch:
+    """Many small Continuous instances as flat arrays: the core's input.
+
+    Instance ``i`` owns tasks ``task_off[i]:task_off[i + 1]`` of ``works``
+    and edges ``edge_off[i]:edge_off[i + 1]`` of ``edge_src``/``edge_dst``,
+    whose endpoints are batch-wide task ids.  ``names`` are the row names
+    (the given name, else the problem's default); ``sources`` keeps what
+    each instance came from — an :class:`InstanceSpec` or a wire graph
+    dict — for the scalar fallback and the task names of speed maps.
+    """
+
+    works: np.ndarray
+    task_off: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_off: np.ndarray
+    deadline: np.ndarray
+    s_max: np.ndarray
+    alpha: np.ndarray
+    names: list[str]
+    sources: list[InstanceSpec | Mapping[str, Any]]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[InstanceSpec]) -> "PackedBatch":
+        """Concatenate specs into one batch, in order."""
+        count = len(specs)
+        task_off = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum([s.n_tasks for s in specs], out=task_off[1:])
+        edge_counts = [s.edges_src.shape[0] for s in specs]
+        edge_off = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(edge_counts, out=edge_off[1:])
+        shift = np.repeat(task_off[:-1], edge_counts)
+
+        def joined(arrays: list[np.ndarray], dtype: type) -> np.ndarray:
+            if not arrays:
+                return np.empty(0, dtype=dtype)
+            return np.concatenate(arrays).astype(dtype, copy=False)
+
+        return cls(
+            works=joined([s.works for s in specs], np.float64),
+            task_off=task_off,
+            edge_src=joined([s.edges_src for s in specs], np.int64) + shift,
+            edge_dst=joined([s.edges_dst for s in specs], np.int64) + shift,
+            edge_off=edge_off,
+            deadline=np.array([s.deadline for s in specs], dtype=np.float64),
+            s_max=np.array([s.s_max for s in specs], dtype=np.float64),
+            alpha=np.array([s.alpha for s in specs], dtype=np.float64),
+            names=[s.display_name for s in specs], sources=list(specs))
+
+    def n_tasks(self, i: int) -> int:
+        return int(self.task_off[i + 1] - self.task_off[i])
+
+    def task_names(self, i: int) -> Sequence[str]:
+        source = self.sources[i]
+        if isinstance(source, InstanceSpec):
+            return source.task_names
+        return list(source["tasks"])
+
+    def problem(self, i: int) -> MinEnergyProblem:
+        """The full problem of instance ``i`` (raises the library's typed
+        error when its data does not make a valid problem)."""
+        source = self.sources[i]
+        if isinstance(source, InstanceSpec):
+            return source.materialise()
+        return _graph_dict_problem(
+            source, deadline=float(self.deadline[i]),
+            alpha=float(self.alpha[i]), s_max=float(self.s_max[i]),
+            name=self.names[i])
+
+
+class BatchPacker:
+    """Fill a :class:`PackedBatch` one wire graph dict at a time.
+
+    Everything accumulates in plain lists and becomes arrays once, in
+    :meth:`build`.
+    """
+
+    def __init__(self) -> None:
+        self._works: list[float] = []
+        self._src: list[int] = []
+        self._dst: list[int] = []
+        self._task_off = [0]
+        self._edge_off = [0]
+        self._deadline: list[float] = []
+        self._s_max: list[float] = []
+        self._alpha: list[float] = []
+        self._names: list[str] = []
+        self._graphs: list[Mapping[str, Any]] = []
+
+    def add(self, graph: Mapping[str, Any], *, deadline: float,
+            s_max: float | None, alpha: float, name: str) -> bool:
+        """Append one instance; ``False`` (nothing appended) when the core
+        cannot take it as sent: more than :data:`VECTORIZE_MAX_TASKS`
+        tasks, a work ``float`` refuses, or an edge entry that does not
+        name two of its tasks.  Such an instance goes the scalar way,
+        which reports it as it would a single request.
+
+        ``graph`` must map ``"tasks"`` to a mapping (the caller checked).
+        """
+        tasks = graph["tasks"]
+        base = self._task_off[-1]
+        if len(tasks) > VECTORIZE_MAX_TASKS:
+            return False
+        index_of = dict(zip(tasks, range(base, base + len(tasks))))
+        try:
+            works = [float(w) for w in tasks.values()]
+            src, dst = _edge_ids(graph.get("edges") or (), index_of)
+        except (TypeError, ValueError, OverflowError, KeyError, IndexError):
+            return False
+        self._works += works
+        self._src += src
+        self._dst += dst
+        self._task_off.append(base + len(works))
+        self._edge_off.append(self._edge_off[-1] + len(src))
+        self._deadline.append(deadline)
+        self._s_max.append(math.inf if s_max is None else s_max)
+        self._alpha.append(alpha)
+        self._names.append(name or default_problem_name(
+            graph_dict_name(graph), deadline))
+        self._graphs.append(graph)
+        return True
+
+    def build(self) -> PackedBatch:
+        return PackedBatch(
+            works=np.array(self._works, dtype=np.float64),
+            task_off=np.array(self._task_off, dtype=np.int64),
+            edge_src=np.array(self._src, dtype=np.int64),
+            edge_dst=np.array(self._dst, dtype=np.int64),
+            edge_off=np.array(self._edge_off, dtype=np.int64),
+            deadline=np.array(self._deadline, dtype=np.float64),
+            s_max=np.array(self._s_max, dtype=np.float64),
+            alpha=np.array(self._alpha, dtype=np.float64),
+            names=self._names, sources=self._graphs)
 
 
 # --------------------------------------------------------------------------- #
@@ -247,16 +412,21 @@ def _sp_plan(graph: TaskGraph) -> _Plan:
 # --------------------------------------------------------------------------- #
 # the packed solve
 # --------------------------------------------------------------------------- #
-@dataclass
-class _VectorOutcome:
-    """Per-instance outcome of the packed solve."""
+class _Solved(NamedTuple):
+    """What the packed passes found, per instance and per task."""
 
-    solved: bool
-    solver: str = ""
-    energy: float = 0.0
-    equivalent_load: float = 0.0
-    speeds: np.ndarray | None = None
-    fallback_reason: str = ""
+    ok: np.ndarray               # solved here; the rest take the scalar path
+    series_parallel: np.ndarray  # solved through the SP lowering
+    energy: np.ndarray
+    load: np.ndarray             # equivalent load of the root
+    speeds: np.ndarray           # per task, in batch task order
+
+
+def _nothing_solved(count: int) -> _Solved:
+    nothing = np.zeros(count, dtype=bool)
+    return _Solved(ok=nothing, series_parallel=nothing,
+                   energy=np.zeros(count), load=np.zeros(count),
+                   speeds=np.zeros(0))
 
 
 def _tree_orientation_masks(n: np.ndarray, m: np.ndarray,
@@ -276,15 +446,6 @@ def _tree_orientation_masks(n: np.ndarray, m: np.ndarray,
     return out, inn & ~out
 
 
-def _segment_sums(values: np.ndarray, ptr_lo: np.ndarray,
-                  ptr_hi: np.ndarray) -> np.ndarray:
-    """Contiguous segment sums via cumulative sums (empty segments ok)."""
-    csum = np.empty(values.shape[0] + 1, dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(values, out=csum[1:])
-    return csum[ptr_hi] - csum[ptr_lo]
-
-
 def _csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat source indices for gathering CSR rows ``[s, s+c)`` back to back."""
     total = int(counts.sum())
@@ -296,93 +457,64 @@ def _csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.arange(total, dtype=np.int64))
 
 
-def _solve_vectorized(specs: Sequence[InstanceSpec],
-                      keep_speeds: bool) -> list[_VectorOutcome]:
-    """Solve all tree/SP-shaped specs at once; flag the rest for fallback.
+def _solve_vectorized(batch: PackedBatch) -> _Solved:
+    """Solve every tree/SP-shaped instance of ``batch`` at once.
 
-    Returns one outcome per spec, aligned with the input.  The function
-    never raises for a malformed instance — structural misfits come back
-    with ``solved=False`` and a reason, and the caller routes them through
-    the scalar path (which raises the library's usual typed errors).
+    Instances the core cannot take come back with ``ok`` false; the
+    caller routes them through the scalar path, which raises the library's
+    usual typed errors.  Never raises for a malformed instance.
     """
-    B = len(specs)
-    outcomes = [_VectorOutcome(solved=False, fallback_reason="not packed")
-                for _ in range(B)]
-    if B == 0:
-        return outcomes
+    B = len(batch)
+    N = int(batch.task_off[-1])
+    n_inst = np.diff(batch.task_off)
+    m_inst = np.diff(batch.edge_off)
+    works_all = batch.works
+    deadlines, alphas, caps = batch.deadline, batch.alpha, batch.s_max
+    inst_of_node = np.repeat(np.arange(B, dtype=np.int64), n_inst)
 
-    n_inst = np.fromiter((s.n_tasks for s in specs), dtype=np.int64, count=B)
-    m_inst = np.fromiter((s.edges_src.shape[0] for s in specs),
-                         dtype=np.int64, count=B)
-    deadlines = np.fromiter((s.deadline for s in specs), dtype=np.float64,
-                            count=B)
-    alphas = np.fromiter((s.alpha for s in specs), dtype=np.float64, count=B)
+    def per_instance(mask: np.ndarray) -> np.ndarray:
+        """How many flagged tasks each instance owns."""
+        return np.bincount(inst_of_node[mask], minlength=B)
 
-    # basic scalar eligibility (vectorized over instances)
+    # basic scalar eligibility (vectorized over instances); a cap the
+    # scalar model refuses (not positive, NaN) is the scalar path's to report
     with np.errstate(invalid="ignore"):
         eligible = ((n_inst >= 1)
                     & np.isfinite(deadlines) & (deadlines > 0.0)
-                    & np.isfinite(alphas) & (alphas > 1.0))
+                    & np.isfinite(alphas) & (alphas > 1.0) & (caps > 0.0))
+        eligible &= per_instance(~np.isfinite(works_all)
+                                 | (works_all <= 0.0)) == 0
+    if not eligible.any():
+        return _nothing_solved(B)
 
-    node_off = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(n_inst, out=node_off[1:])
-    N = int(node_off[-1])
-    if N == 0:
-        return outcomes
-
-    works_all = np.ascontiguousarray(
-        np.concatenate([s.works for s in specs]), dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        bad_work = ~np.isfinite(works_all) | (works_all <= 0.0)
-    if bad_work.any():
-        # minimum.reduceat-style: any bad work disqualifies the instance
-        bad_inst = np.add.reduceat(bad_work.astype(np.int64),
-                                   node_off[:-1]) > 0
-        eligible &= ~bad_inst
-
-    # global edge arrays (instance-offset node ids)
-    src_all = np.concatenate(
-        [s.edges_src + node_off[i] for i, s in enumerate(specs)])
-    dst_all = np.concatenate(
-        [s.edges_dst + node_off[i] for i, s in enumerate(specs)])
-
+    src_all, dst_all = batch.edge_src, batch.edge_dst
     indeg = np.bincount(dst_all, minlength=N)
     outdeg = np.bincount(src_all, minlength=N)
-    indeg0 = np.add.reduceat((indeg == 0).astype(np.int64), node_off[:-1])
-    indeg_over = np.add.reduceat((indeg > 1).astype(np.int64), node_off[:-1])
-    outdeg0 = np.add.reduceat((outdeg == 0).astype(np.int64), node_off[:-1])
-    outdeg_over = np.add.reduceat((outdeg > 1).astype(np.int64), node_off[:-1])
     is_out, is_in = _tree_orientation_masks(
-        n_inst, m_inst, indeg0, indeg_over, outdeg0, outdeg_over)
+        n_inst, m_inst, per_instance(indeg == 0), per_instance(indeg > 1),
+        per_instance(outdeg == 0), per_instance(outdeg > 1))
     is_out &= eligible
     is_in &= eligible
     is_tree_inst = is_out | is_in
 
     # non-tree eligible instances: try the series-parallel lowering
-    # (per-instance Python — SP needs the recursive decomposition anyway)
+    # (per-instance Python — SP needs the recursive decomposition anyway);
+    # a non-SP or malformed graph is left to the scalar path
     sp_plans: list[tuple[int, _Plan]] = []
-    for i in np.flatnonzero(eligible & ~is_tree_inst):
-        spec = specs[i]
+    for i in np.flatnonzero(eligible & ~is_tree_inst).tolist():
         try:
-            graph = spec.materialise().graph
-            sp_plans.append((int(i), _sp_plan(graph)))
-        except NotSeriesParallelError:
-            outcomes[i].fallback_reason = "not tree or series-parallel"
-        except Exception as exc:  # malformed graph: scalar path re-raises
-            outcomes[i].fallback_reason = f"lowering failed: {exc}"
-    for i in np.flatnonzero(~eligible):
-        outcomes[i].fallback_reason = "failed vector eligibility checks"
+            sp_plans.append((i, _sp_plan(batch.problem(i).graph)))
+        except Exception:
+            continue
 
-    tree_ids = np.flatnonzero(is_tree_inst)
-    if tree_ids.size == 0 and not sp_plans:
-        return outcomes
+    if not is_tree_inst.any() and not sp_plans:
+        return _nothing_solved(B)
 
     # ------------------------------------------------------------------ #
     # tree chunk: child CSR + roots, fully vectorized over the batch
     # ------------------------------------------------------------------ #
     # per-edge orientation: out-tree edges parent=src, in-tree parent=dst
     tree_node = np.repeat(is_tree_inst, n_inst)
-    inst_of_node = np.repeat(np.arange(B, dtype=np.int64), n_inst)
     edge_inst = np.repeat(np.arange(B, dtype=np.int64), m_inst)
     tree_edge = is_tree_inst[edge_inst]
     out_edge = is_out[edge_inst] & tree_edge
@@ -404,9 +536,7 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
     frontier = roots
     d = 0
     while frontier.size:
-        starts = t_ptr[frontier]
-        counts = t_counts[frontier]
-        gather = _csr_gather(starts, counts)
+        gather = _csr_gather(t_ptr[frontier], t_counts[frontier])
         if gather.size == 0:
             break
         children = t_child[gather]
@@ -419,55 +549,40 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
         # fake trees (degree stats matched but a parent cycle hides nodes):
         # kick the whole instance to the scalar path, clamp depths so the
         # packed passes stay well-formed (their outputs are discarded)
-        bad = np.unique(inst_of_node[np.flatnonzero(unreached)])
+        bad = np.unique(inst_of_node[unreached])
         is_out[bad] = False
         is_in[bad] = False
         is_tree_inst[bad] = False
-        for i in bad:
-            outcomes[i].fallback_reason = "cyclic or disconnected instance"
-        np.maximum(depth, 0, out=depth)
-        tree_ids = np.flatnonzero(is_tree_inst)
-        if tree_ids.size == 0 and not sp_plans:
-            return outcomes
-    else:
-        np.maximum(depth, 0, out=depth)
+        if not is_tree_inst.any() and not sp_plans:
+            return _nothing_solved(B)
+    np.maximum(depth, 0, out=depth)
+    tree_roots = roots[is_tree_inst[inst_of_node[roots]]]
 
     # ------------------------------------------------------------------ #
     # merge tree chunk + SP plans into one node universe
     # ------------------------------------------------------------------ #
-    sp_sizes = np.fromiter((p.works.shape[0] for _, p in sp_plans),
-                           dtype=np.int64, count=len(sp_plans))
-    sp_off = np.zeros(len(sp_plans) + 1, dtype=np.int64)
-    np.cumsum(sp_sizes, out=sp_off[1:])
+    sp_inst = np.array([i for i, _p in sp_plans], dtype=np.int64)
+    plans = [p for _i, p in sp_plans]
+    sp_off = np.zeros(len(plans) + 1, dtype=np.int64)
+    np.cumsum([p.works.shape[0] for p in plans], out=sp_off[1:])
     total_nodes = N + int(sp_off[-1])
 
-    g_works = np.concatenate(
-        [works_all] + [p.works for _, p in sp_plans]) \
-        if sp_plans else works_all
-    g_is_p = np.concatenate(
-        [np.ones(N, dtype=bool)] + [p.is_p for _, p in sp_plans]) \
-        if sp_plans else np.ones(N, dtype=bool)
-    g_level = np.concatenate(
-        [depth] + [p.level for _, p in sp_plans]) if sp_plans else depth
+    g_works = np.concatenate([works_all] + [p.works for p in plans])
+    g_is_p = np.concatenate([np.ones(N, dtype=bool)]
+                            + [p.is_p for p in plans])
+    g_level = np.concatenate([depth] + [p.level for p in plans])
     g_inst = np.concatenate(
-        [inst_of_node]
-        + [np.full(p.works.shape[0], i, dtype=np.int64)
-           for i, p in sp_plans]) if sp_plans else inst_of_node
-    g_counts = np.concatenate(
-        [t_counts]
-        + [np.diff(p.child_ptr) for _, p in sp_plans]) \
-        if sp_plans else t_counts
+        [inst_of_node] + [np.full(p.works.shape[0], i, dtype=np.int64)
+                          for i, p in sp_plans])
+    g_counts = np.concatenate([t_counts]
+                              + [np.diff(p.child_ptr) for p in plans])
     g_child = np.concatenate(
-        [t_child]
-        + [p.child_idx + N + sp_off[j]
-           for j, (_, p) in enumerate(sp_plans)]) if sp_plans else t_child
+        [t_child] + [p.child_idx + N + sp_off[j]
+                     for j, p in enumerate(plans)])
     g_alpha = alphas[g_inst]
 
-    # roots of the merged universe
-    sp_roots = N + sp_off[:-1]  # each plan's node 0 is its combine root
-    root_nodes = np.concatenate([roots[is_tree_inst[inst_of_node[roots]]],
-                                 sp_roots]) if sp_plans else \
-        roots[is_tree_inst[inst_of_node[roots]]]
+    # roots of the merged universe (each plan's node 0 is its combine root)
+    root_nodes = np.concatenate([tree_roots, N + sp_off[:-1]])
 
     # level-sort all nodes (stable keeps instance-major order within levels)
     order = np.argsort(g_level, kind="stable")
@@ -481,6 +596,8 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
     lev_s = g_level[order]
     ptr_s = np.zeros(total_nodes + 1, dtype=np.int64)
     np.cumsum(counts_s, out=ptr_s[1:])
+    #: sorted position of each child slot's parent (segment ids)
+    slot_parent = np.repeat(np.arange(total_nodes, dtype=np.int64), counts_s)
 
     # children gathered into the sorted CSR, remapped to sorted positions
     g_ptr = np.zeros(total_nodes + 1, dtype=np.int64)
@@ -494,7 +611,7 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
     child_takes_load = np.repeat(~is_p_s, counts_s)
     inv_exp = np.where(is_p_s, 1.0 / alpha_s, 1.0)
 
-    n_levels = int(lev_s[-1]) + 1 if total_nodes else 0
+    n_levels = int(lev_s[-1]) + 1
     level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
     np.cumsum(np.bincount(lev_s, minlength=n_levels), out=level_ptr[1:])
 
@@ -509,8 +626,8 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
             if c0 == c1:
                 continue
             powered = loads[child_s[c0:c1]] ** child_exp[c0:c1]
-            seg = _segment_sums(powered, ptr_s[p0:p1] - c0,
-                                ptr_s[p0 + 1:p1 + 1] - c0)
+            seg = np.bincount(slot_parent[c0:c1] - p0, weights=powered,
+                              minlength=p1 - p0)
             np.power(seg, inv_exp[p0:p1], out=seg)
             loads[p0:p1] = work_s[p0:p1] + seg
 
@@ -532,61 +649,46 @@ def _solve_vectorized(specs: Sequence[InstanceSpec],
             kids = child_s[c0:c1]
             win[kids] = rep * np.where(child_takes_load[c0:c1],
                                        loads[kids], 1.0)
-
-        # ------------------------------------------------------------------ #
-        # extract per-task speeds, energies, cap checks
-        # ------------------------------------------------------------------ #
-        # tree-chunk node ids coincide with instance-major task indices, so
-        # pos[:N] maps every task to its sorted position directly
-        task_pos = pos[:N]
         speeds_nodes = loads / np.where(win > 0.0, win, np.nan)
 
-    # per-instance root node id (tree chunk); SP roots are each plan's node 0
-    root_of = np.full(B, -1, dtype=np.int64)
-    root_of[inst_of_node[roots]] = roots
+    # ------------------------------------------------------------------ #
+    # per-instance tail: speeds, cap checks and energies as segment
+    # reductions over the task offsets
+    # ------------------------------------------------------------------ #
+    # tree-chunk node ids are batch task ids; SP tasks sit in their plans
+    task_pos = pos[:N].copy()
+    root_pos = np.zeros(B, dtype=np.int64)
+    root_pos[inst_of_node[tree_roots]] = pos[tree_roots]
+    ok = is_tree_inst.copy()
+    series_parallel = np.zeros(B, dtype=bool)
+    if plans:
+        starts = batch.task_off[sp_inst]
+        task_pos[_csr_gather(starts, n_inst[sp_inst])] = pos[np.concatenate(
+            [p.task_node + N + sp_off[j] for j, p in enumerate(plans)])]
+        root_pos[sp_inst] = pos[N + sp_off[:-1]]
+        ok[sp_inst] = True
+        series_parallel[sp_inst] = True
 
-    solver_of = {int(i): TREE_BATCH_SOLVER for i in tree_ids}
-    solver_of.update({i: SP_BATCH_SOLVER for i, _ in sp_plans})
-    plan_of = {i: j for j, (i, _p) in enumerate(sp_plans)}
-
-    abs_tol, rel_tol = DEFAULT_ABS_TOL, DEFAULT_REL_TOL
-    for i in sorted(solver_of):
-        spec = specs[i]
-        if i in plan_of:
-            j = plan_of[i]
-            positions = pos[sp_plans[j][1].task_node + N + sp_off[j]]
-            root_pos = pos[N + sp_off[j]]
-        else:
-            positions = task_pos[node_off[i]:node_off[i + 1]]
-            root_pos = pos[root_of[i]]
-        speeds = speeds_nodes[positions]
-        if not np.all(np.isfinite(speeds)):
-            outcomes[i].fallback_reason = "degenerate windows"
-            continue
-        cap = spec.s_max
-        if math.isfinite(cap):
-            if float(speeds.max(initial=0.0)) > cap + abs_tol + rel_tol * cap:
-                # the uncapped Theorem 2 solution violates s_max: the scalar
-                # dispatcher handles this (saturated closed form / convex)
-                outcomes[i].fallback_reason = "s_max violated"
-                continue
-        energy = float(np.dot(spec.works, speeds ** (spec.alpha - 1.0)))
-        outcomes[i] = _VectorOutcome(
-            solved=True, solver=solver_of[i], energy=energy,
-            equivalent_load=float(loads[root_pos]),
-            speeds=np.ascontiguousarray(speeds) if keep_speeds else None)
-    return outcomes
+    speeds = speeds_nodes[task_pos]
+    cap = caps[inst_of_node]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # degenerate windows, or uncapped Theorem 2 speeds over s_max: the
+        # scalar dispatcher handles those (saturated closed form / convex)
+        rejected = ~np.isfinite(speeds) | (
+            speeds > cap + DEFAULT_ABS_TOL + DEFAULT_REL_TOL * cap)
+        energy = np.bincount(
+            inst_of_node, minlength=B,
+            weights=works_all * speeds ** (alphas[inst_of_node] - 1.0))
+    ok &= per_instance(rejected) == 0
+    return _Solved(ok=ok, series_parallel=series_parallel, energy=energy,
+                   load=loads[root_pos], speeds=speeds)
 
 
 # --------------------------------------------------------------------------- #
 # public batch API
 # --------------------------------------------------------------------------- #
-def _spec_eligible(item: MinEnergyProblem | InstanceSpec, *,
-                   method: str | None, exact: bool | None,
-                   options: dict[str, Any] | None) -> InstanceSpec | None:
-    """Lower ``item`` to a spec when the vector core may solve it."""
-    if method not in (None, "auto") or exact is not None or options:
-        return None
+def _vector_spec(item: MinEnergyProblem | InstanceSpec) -> InstanceSpec | None:
+    """``item`` as a spec when the vector core may solve it."""
     if item.n_tasks > VECTORIZE_MAX_TASKS:
         return None
     if isinstance(item, InstanceSpec):
@@ -611,104 +713,104 @@ def batch_key(method: str | None, exact: bool | None,
             keep_speeds, validate)
 
 
-def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec], *,
-                method: str | None = None, exact: bool | None = None,
+def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec] | PackedBatch,
+                *, method: str | None = None, exact: bool | None = None,
                 options: dict[str, Any] | None = None,
                 keep_speeds: bool = False,
                 validate: bool = False) -> list[BatchResult]:
     """Solve a batch of instances, vectorizing every eligible one.
 
-    ``items`` mixes :class:`MinEnergyProblem` objects and
-    :class:`InstanceSpec` fast-path entries.  Small Continuous instances
-    with automatic dispatch go through the packed struct-of-arrays solver;
-    everything else (explicit methods/options, discrete models, non-tree/SP
-    shapes, capped instances the uncapped closed form would violate, large
-    graphs) takes the scalar path with :func:`repro.batch.solve_many`-style
-    per-instance error capture.  Results come back in input order.
+    ``items`` is a :class:`PackedBatch`, or a sequence mixing
+    :class:`MinEnergyProblem` objects and :class:`InstanceSpec` entries,
+    whose small Continuous instances with automatic dispatch are packed
+    into one.  The packed instances go through the struct-of-arrays
+    solver; everything else (explicit methods/options, discrete models,
+    non-tree/SP shapes, capped instances the uncapped closed form would
+    violate, large graphs) takes the scalar path with
+    :func:`repro.batch.solve_many`-style per-instance error capture.
+    Results come back in input order.
     """
     started = time.perf_counter()
     opts = dict(options or {})
-    specs: list[InstanceSpec | None] = []
-    for item in items:
-        try:
-            specs.append(_spec_eligible(item, method=method, exact=exact,
-                                        options=opts or None))
-        except Exception:
-            specs.append(None)
+    packed_input = isinstance(items, PackedBatch)
+    if packed_input:
+        batch, slots = items, list(range(len(items)))
+    else:
+        specs: list[InstanceSpec] = []
+        slots = []
+        if method in (None, "auto") and exact is None and not opts:
+            for i, item in enumerate(items):
+                try:
+                    spec = _vector_spec(item)
+                except Exception:
+                    continue
+                if spec is not None:
+                    specs.append(spec)
+                    slots.append(i)
+        batch = PackedBatch.from_specs(specs)
 
-    vec_indices = [i for i, s in enumerate(specs) if s is not None]
-    vec_specs = [specs[i] for i in vec_indices]
-    outcomes = _solve_vectorized(vec_specs, keep_speeds or validate) \
-        if vec_specs else []
-
-    results: list[BatchResult | None] = [None] * len(items)
-    n_vectorized = 0
-    for local, i in enumerate(vec_indices):
-        outcome = outcomes[local]
-        if not outcome.solved:
-            continue
-        n_vectorized += 1
-        spec = vec_specs[local]
-        assert spec is not None
-        speeds_dict = None
-        if keep_speeds and outcome.speeds is not None:
-            speeds_dict = {name: float(s) for name, s
-                           in zip(spec.task_names, outcome.speeds)}
-        result = BatchResult(
-            index=i, name=spec.display_name, ok=True,
-            n_tasks=spec.n_tasks, energy=outcome.energy,
-            makespan=spec.deadline,  # optimal windows exhaust the deadline
-            solver=outcome.solver, optimal=True, lower_bound=None,
-            seconds=0.0, speeds=speeds_dict,
-            metadata={"cache_hit": False, "vectorized": True,
-                      "equivalent_load": outcome.equivalent_load})
-        if validate:
-            result = _validated(result, spec, outcome)
-        results[i] = result
+    rows: list[BatchResult | None] = [None] * len(items)
+    if len(batch):
+        solved = _solve_vectorized(batch)
+        done = np.flatnonzero(solved.ok).tolist()
+        # the packed solve's time, amortised over the rows it answered
+        share = (time.perf_counter() - started) / max(1, len(done))
+        energy, load = solved.energy.tolist(), solved.load.tolist()
+        sp = solved.series_parallel.tolist()
+        deadline, off = batch.deadline.tolist(), batch.task_off.tolist()
+        for j in done:
+            i = slots[j]
+            row = BatchResult(
+                index=i, name=batch.names[j], ok=True,
+                n_tasks=off[j + 1] - off[j], energy=energy[j],
+                makespan=deadline[j],  # optimal windows exhaust the deadline
+                solver=SP_BATCH_SOLVER if sp[j] else TREE_BATCH_SOLVER,
+                optimal=True, seconds=share,
+                metadata={"cache_hit": False, "vectorized": True,
+                          "equivalent_load": load[j]})
+            if keep_speeds or validate:
+                speeds = dict(zip(batch.task_names(j),
+                                  solved.speeds[off[j]:off[j + 1]].tolist()))
+                row.speeds = speeds if keep_speeds else None
+                if validate:
+                    row = _validated(row, batch, j, speeds)
+            rows[i] = row
 
     # scalar fallback for everything the vector core declined
-    elapsed_vec = time.perf_counter() - started
-    for i, item in enumerate(items):
-        if results[i] is not None:
+    for i, row in enumerate(rows):
+        if row is not None:
             continue
-        if isinstance(item, MinEnergyProblem):
-            problem = item
-        else:
-            try:
-                problem = item.materialise()
-            except Exception as exc:
-                results[i] = BatchResult.failure(
-                    i, item.display_name, item.n_tasks, type(exc).__name__,
-                    str(exc))
-                continue
-        results[i], _env = _solve_one(_WorkItem(
+        try:
+            if packed_input:
+                problem = batch.problem(i)
+            else:
+                item = items[i]
+                problem = (item.materialise()
+                           if isinstance(item, InstanceSpec) else item)
+        except Exception as exc:
+            name, n_tasks = ((batch.names[i], batch.n_tasks(i))
+                             if packed_input else
+                             (items[i].display_name, items[i].n_tasks))
+            rows[i] = BatchResult.failure(i, name, n_tasks,
+                                          type(exc).__name__, str(exc))
+            continue
+        rows[i], _env = _solve_one(_WorkItem(
             index=i, problem=problem, method=method, exact=exact,
             validate=validate, keep_speeds=keep_speeds, options=opts,
             seed=None, want_envelope=False))
-
-    # amortize the single packed solve across its instances
-    if n_vectorized:
-        share = elapsed_vec / n_vectorized
-        for i in vec_indices:
-            result = results[i]
-            if result is not None and result.metadata.get("vectorized"):
-                result.seconds = share
-    return [r for r in results if r is not None]
+    return rows  # type: ignore[return-value]
 
 
-def _validated(result: BatchResult, spec: InstanceSpec,
-               outcome: _VectorOutcome) -> BatchResult:
+def _validated(result: BatchResult, batch: PackedBatch, j: int,
+               speeds: dict[str, float]) -> BatchResult:
     """Re-check a vector-solved instance with the full validation pipeline."""
     from repro.core.solution import SpeedAssignment, make_solution
     from repro.core.validation import check_solution
 
     try:
-        problem = spec.materialise()
-        assignment = SpeedAssignment(speeds={
-            name: float(s) for name, s
-            in zip(spec.task_names, outcome.speeds)})
-        solution = make_solution(problem, assignment, solver=outcome.solver,
-                                 optimal=True,
+        solution = make_solution(batch.problem(j),
+                                 SpeedAssignment(speeds=speeds),
+                                 solver=result.solver or "", optimal=True,
                                  metadata=dict(result.metadata))
         check_solution(solution)
         # trust the validated pipeline's energy/makespan readings

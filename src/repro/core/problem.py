@@ -24,6 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.mapping.execution_graph import ExecutionGraph
 
 
+def default_problem_name(graph_name: str, deadline: float) -> str:
+    """The name of a problem built without one."""
+    return f"MinEnergy({graph_name}, D={deadline:g})"
+
+
 @dataclass
 class MinEnergyProblem:
     """An instance of ``MinEnergy(G, D)``.
@@ -70,7 +75,7 @@ class MinEnergyProblem:
             raise InvalidModelError(f"model must be an EnergyModel, got {type(self.model).__name__}")
         self.graph.validate()
         if not self.name:
-            self.name = f"MinEnergy({self.graph.name}, D={self.deadline:g})"
+            self.name = default_problem_name(self.graph.name, self.deadline)
 
     # ------------------------------------------------------------------ #
     # feasibility primitives

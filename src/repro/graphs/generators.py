@@ -308,21 +308,28 @@ def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
         sizes[k] += 1
     works = [sampler(rng) for _ in range(n)]  # layer by layer, in task order
     starts = np.cumsum([0] + sizes).tolist()
-    src: list[int] = []
-    dst: list[int] = []
+    src: list[np.ndarray] = []
+    dst: list[np.ndarray] = []
     for k in range(1, layers):
-        prev = range(starts[k - 1], starts[k])
-        for v in range(starts[k], starts[k + 1]):
-            # ensure connectivity to the previous layer
-            forced = prev[int(rng.integers(0, len(prev)))]
-            draws = rng.random(len(prev) - 1).tolist()
-            chosen = [u for u, r in zip((u for u in prev if u != forced), draws)
-                      if r < edge_probability]
-            src.append(forced)
-            src.extend(chosen)
-            dst.extend([v] * (1 + len(chosen)))
-    return TaskGraph.from_arrays([f"T{i + 1}" for i in range(n)], works,
-                                 src, dst, name=name)
+        width, count = sizes[k - 1], sizes[k]
+        # the stream's order, task by task: the forced predecessor
+        # (ensures connectivity to the previous layer), then one draw for
+        # each other task of the previous layer
+        forced = np.empty(count, dtype=np.int64)
+        draws = np.empty((count, width - 1))
+        for row in range(count):
+            forced[row] = rng.integers(0, width)
+            rng.random(out=draws[row])
+        rows, cols = np.nonzero(draws < edge_probability)
+        # column c stands for previous-layer task c, skipping the forced one
+        cols += cols >= forced[rows]
+        targets = starts[k] + np.arange(count)
+        src += [starts[k - 1] + forced, starts[k - 1] + cols]
+        dst += [targets, targets[rows]]
+    return TaskGraph.from_arrays(
+        [f"T{i + 1}" for i in range(n)], works,
+        np.concatenate(src) if src else [], np.concatenate(dst) if dst else [],
+        name=name)
 
 
 def erdos_dag(n: int, *, seed: RngLike = None, edge_probability: float = 0.15,

@@ -8,7 +8,7 @@ inspecting small graphs.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Mapping
 
 from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError
@@ -27,7 +27,7 @@ def graph_to_dict(graph: TaskGraph) -> dict[str, Any]:
     }
 
 
-def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
+def graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
     """Deserialise a graph previously produced by :func:`graph_to_dict`.
 
     Task names and edge endpoints are read as strings and resolved to
@@ -53,7 +53,12 @@ def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
         src.append(index_of[source])
         dst.append(index_of[target])
     return TaskGraph.from_arrays(names, list(tasks.values()), src, dst,
-                                 name=str(data.get("name", "taskgraph")))
+                                 name=graph_dict_name(data))
+
+
+def graph_dict_name(data: Mapping[str, Any]) -> str:
+    """The name :func:`graph_from_dict` gives the graph of ``data``."""
+    return str(data.get("name", "taskgraph"))
 
 
 def graph_to_json(graph: TaskGraph, *, indent: int | None = 2) -> str:

@@ -78,7 +78,6 @@ from repro.api.protocol import (
     SCHEMA_VERSION,
     ProgressEvent,
     SolveRequest,
-    SolveResponse,
     SweepRequest,
     check_schema_version,
     error_to_wire,
@@ -417,7 +416,12 @@ class _Handler(BaseHTTPRequestHandler):
             execute_solve(self.solver, request, deadline=deadline).to_wire())
 
     def _solve_batch(self) -> None:
-        """One request, one batch tick, one packed binary row frame."""
+        """One request, one batch tick, one packed binary row frame.
+
+        The ``requests`` array is decoded straight into the vector core's
+        packed arrays (:func:`execute_solve_batch`); a bad instance is a
+        failure row, not a 4xx.
+        """
         deadline = self._deadline()
         if deadline is not None:
             deadline.require("batch solve")
@@ -428,32 +432,19 @@ class _Handler(BaseHTTPRequestHandler):
                 "malformed batch solve: expected an object with a "
                 "requests array")
         check_schema_version(body, what="batch solve request")
-        keep_speeds = bool(body.get("keep_speeds", False))
-        rows: list[SolveResponse | None] = [None] * len(body["requests"])
-        parsed: list[tuple[int, SolveRequest]] = []
-        for i, payload in enumerate(body["requests"]):
-            try:
-                parsed.append((i, SolveRequest.from_wire(payload)))
-            except ReproError as exc:  # a bad instance is a row, not a 4xx
-                name = str(payload.get("name", "")) \
-                    if isinstance(payload, dict) else ""
-                rows[i] = SolveResponse.from_failure(exc, name=name)
-        responses = execute_solve_batch(
-            self.solver, [request for _i, request in parsed],
-            keep_speeds=keep_speeds)
-        order_of: dict[int, list[str]] = {}
-        for (i, request), response in zip(parsed, responses):
-            rows[i] = response
-            order_of[i] = list((request.graph.get("tasks") or {}).keys())
+        requests = body["requests"]
+        rows = execute_solve_batch(
+            self.solver, requests,
+            keep_speeds=bool(body.get("keep_speeds", False)))
         speeds_vectors = None
         if any(row.speeds for row in rows):
             # re-emit each speed map as a vector in the request's own task
             # order, which the client reattaches without names travelling
+            # (a row with speeds passed the checks, so its graph is sound)
             speeds_vectors = []
-            for i, row in enumerate(rows):
-                order = order_of.get(i)
-                if row.speeds and order \
-                        and all(t in row.speeds for t in order):
+            for row, payload in zip(rows, requests):
+                order = list(payload["graph"]["tasks"]) if row.speeds else ()
+                if order and all(t in row.speeds for t in order):
                     speeds_vectors.append(np.array(
                         [row.speeds[t] for t in order], dtype="<f8"))
                 else:

@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from repro.batch.engine import BatchResult, _preresolve, fan_out, work_items
 from repro.batch.shard import ShardSpec
 from repro.batch.sweep import plan_sweep, sweep_table
-from repro.batch.vectorized import VECTORIZE_MAX_TASKS, InstanceSpec, solve_batch
+from repro.batch.vectorized import (
+    VECTORIZE_MAX_TASKS, InstanceSpec, PackedBatch, solve_batch)
 from repro.core.problem import MinEnergyProblem
 from repro.service.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_MS, MicroBatcher
 from repro.service.jobs import JobHandle, JobStatus
@@ -229,17 +230,19 @@ class SolverService:
             keep_speeds=keep_speeds, validate=validate, timeout=timeout,
             deadline=deadline)
 
-    def solve_many_now(self, items: "Sequence[MinEnergyProblem | InstanceSpec]",
-                       *, method: str | None = None, exact: bool | None = None,
-                       options: dict[str, Any] | None = None,
-                       keep_speeds: bool = False,
-                       validate: bool = False) -> list[BatchResult]:
+    def solve_many_now(
+            self, items: PackedBatch | Sequence[MinEnergyProblem | InstanceSpec],
+            *, method: str | None = None, exact: bool | None = None,
+            options: dict[str, Any] | None = None, keep_speeds: bool = False,
+            validate: bool = False) -> list[BatchResult]:
         """Solve a pre-assembled batch in one vectorized call (one tick).
 
         The transport-level twin of :func:`repro.batch.solve_many` for
-        callers that already hold all their instances: executes
-        immediately in the calling thread and records one
-        occupancy-``len(items)`` tick in :meth:`batch_stats`.
+        callers that already hold all their instances — problems and
+        specs, or a :class:`~repro.batch.vectorized.PackedBatch` decoded
+        straight from the wire: executes immediately in the calling
+        thread and records one occupancy-``len(items)`` tick in
+        :meth:`batch_stats`.
         """
         results = solve_batch(items, method=method, exact=exact,
                               options=options, keep_speeds=keep_speeds,

@@ -513,6 +513,33 @@ class TestSchemaDriftRule:
         })
         assert findings_of(SchemaDriftRule(), root) == []
 
+    def test_reads_dataclass_envelopes_written_field_by_field(self,
+                                                             tmp_path):
+        root = make_project(tmp_path, {
+            "api/protocol.py": """\
+                from dataclasses import dataclass, fields
+
+                @dataclass
+                class Envelope:
+                    a: int = 0
+                    b: int = 0
+
+                    def to_wire(self):
+                        payload = {"schema_version": 1}
+                        for f in fields(self):
+                            payload[f.name] = getattr(self, f.name)
+                        return payload
+
+                    @classmethod
+                    def from_wire(cls, payload):
+                        return cls(a=payload.get("a"), c=payload.get("c"))
+                """,
+        })
+        messages = [f.message for f in findings_of(SchemaDriftRule(), root)]
+        assert len(messages) == 2
+        assert any('"b"' in m and "never reads" in m for m in messages)
+        assert any('"c"' in m and "never writes" in m for m in messages)
+
     def test_flags_add_row_arity_and_unknown_columns(self, tmp_path):
         root = make_project(tmp_path, {
             "batch/sweep.py": """\

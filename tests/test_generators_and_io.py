@@ -311,6 +311,29 @@ class TestGenerators:
         g = generators.GRAPH_CLASSES[graph_class](n, seed=seed)
         assert g.structure_hash() == self.PINNED_HASHES[key]
 
+    #: (n, edge_probability) -> structure hash of layered_dag(n, seed=11),
+    #: as the generator drew its edges one task at a time
+    PINNED_LAYERED = {
+        (1, 0.0): "8c635499a3cd792795ee5a349bb2cdabd7bd04d60da72748a5380a0712d2ae03",
+        (1, 0.3): "8c635499a3cd792795ee5a349bb2cdabd7bd04d60da72748a5380a0712d2ae03",
+        (1, 1.0): "8c635499a3cd792795ee5a349bb2cdabd7bd04d60da72748a5380a0712d2ae03",
+        (32, 0.0): "e42887155df77eeae2c133b317ce63cbfa1f8f1b79299f8c83bbad42c056bf3b",
+        (32, 0.3): "8bcc4ba8dd16fe55bc0d28dbac5cff1af7af07e47ce6ff657055a293ea4edaaf",
+        (32, 1.0): "ad254df4941721bd10d4c9627a13acd797b2954079604c437246fb0899a31455",
+        (96, 0.0): "fb462d8b8112003e553068971f4f2e5c2afe74d4ba67d2514bc3a62a31051d70",
+        (96, 0.3): "e148a63df89fc9d4b958d5d6bcb422b69878d6c645ea7f35519cd60b8061089e",
+        (96, 1.0): "757b50f86a46c0b6dfbe9ae421de0e133d557fae886f0ba89363d3baa8d6b4b7",
+        (1000, 0.0): "c394e251912fd049952998a4ac00ca55664b17f3d5e0467cac684abaf8c3a589",
+        (1000, 0.3): "30151dd65412259627277e30db2e38c7e8a7027555753fe2aa7a54141185f50f",
+        (1000, 1.0): "5320e02eb21412508e4eba72cd829e1a2c5c05daf55ec8ec4f7d26572fa161e4",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_LAYERED))
+    def test_pinned_layered_hashes(self, key):
+        n, p = key
+        g = generators.layered_dag(n, seed=11, edge_probability=p)
+        assert g.structure_hash() == self.PINNED_LAYERED[key]
+
     def test_generators_are_reproducible(self):
         a = generators.layered_dag(20, seed=42)
         b = generators.layered_dag(20, seed=42)
