@@ -51,12 +51,6 @@ def _unb64(data: Any, dtype: str, what: str) -> np.ndarray:
         raise TransportError(f"malformed batch frame: bad {what}: {exc}") from exc
 
 
-def _cell(value: float | bool | None) -> float:
-    if value is None:
-        return np.nan
-    return float(value)
-
-
 def encode_rows(rows: Sequence[Any], *,
                 speeds_vectors: Sequence[np.ndarray | None] | None = None
                 ) -> dict[str, Any]:
@@ -68,28 +62,22 @@ def encode_rows(rows: Sequence[Any], *,
     frame is emitted.
     """
     count = len(rows)
-    matrix = np.full((count, len(BATCH_COLUMNS)), np.nan, dtype="<f8")
-    solvers: list[str] = []
-    solver_id: dict[str, int] = {}
-    names: list[str] = []
-    errors: list[list[Any]] = []
-    for i, row in enumerate(rows):
-        names.append(row.name)
-        matrix[i, 0] = 1.0 if row.ok else 0.0
-        matrix[i, 1] = row.n_tasks
-        matrix[i, 2] = _cell(row.energy)
-        matrix[i, 3] = _cell(row.makespan)
-        matrix[i, 4] = _cell(row.optimal)
-        matrix[i, 5] = _cell(row.lower_bound)
-        matrix[i, 6] = row.seconds
-        if row.solver is not None:
-            sid = solver_id.setdefault(row.solver, len(solvers))
-            if sid == len(solvers):
-                solvers.append(row.solver)
-            matrix[i, 7] = sid
-        if not row.ok:
-            errors.append([i, row.error_type or "", row.error or ""])
-
+    # the legend lists solvers in order of first use
+    solvers = list(dict.fromkeys(row.solver for row in rows
+                                 if row.solver is not None))
+    solver_id = {solver: i for i, solver in enumerate(solvers)}
+    # one list per column, in BATCH_COLUMNS order; numpy reads None as
+    # NaN and booleans as 0/1
+    matrix = np.array([
+        [row.ok for row in rows],
+        [row.n_tasks for row in rows],
+        [row.energy for row in rows],
+        [row.makespan for row in rows],
+        [row.optimal for row in rows],
+        [row.lower_bound for row in rows],
+        [row.seconds for row in rows],
+        [solver_id.get(row.solver) for row in rows],
+    ], dtype="<f8").T
     frame: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": FRAME_KIND,
@@ -97,8 +85,9 @@ def encode_rows(rows: Sequence[Any], *,
         "columns": list(BATCH_COLUMNS),
         "data": _b64(matrix),
         "solvers": solvers,
-        "names": names,
-        "errors": errors,
+        "names": [row.name for row in rows],
+        "errors": [[i, row.error_type or "", row.error or ""]
+                   for i, row in enumerate(rows) if not row.ok],
     }
     if speeds_vectors is not None:
         ptr = np.zeros(count + 1, dtype="<i8")

@@ -68,7 +68,7 @@ from repro.batch.engine import BatchResult, _WorkItem, _solve_one
 from repro.core.models import ContinuousModel
 from repro.core.power import CUBIC, PowerLaw
 from repro.core.problem import MinEnergyProblem, default_problem_name
-from repro.graphs.io import graph_dict_name, graph_from_dict
+from repro.graphs.io import edge_ids, graph_dict_name, graph_from_dict
 from repro.graphs.sp_decomposition import SPLeaf, SPParallel, sp_decompose
 from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError, NotSeriesParallelError
@@ -145,12 +145,6 @@ def _graph_dict_problem(data: Mapping[str, Any], *, deadline: float,
         model=ContinuousModel(s_max=s_max), power=power, name=name)
 
 
-def _edge_ids(edges: Any, index_of: Mapping[Any, int]
-              ) -> tuple[list[int], list[int]]:
-    """Task ids of every edge's endpoints (raises on a malformed entry)."""
-    return ([index_of[e[0]] for e in edges], [index_of[e[1]] for e in edges])
-
-
 def spec_from_problem(problem: MinEnergyProblem) -> InstanceSpec:
     """Lower a (Continuous-model) problem to an :class:`InstanceSpec`.
 
@@ -184,13 +178,10 @@ def spec_from_graph_dict(data: dict[str, Any], *, deadline: float,
     except (TypeError, KeyError, AttributeError, ValueError,
             OverflowError) as exc:
         raise InvalidGraphError(f"malformed graph payload: {exc}") from exc
-    index_of = {task: i for i, task in enumerate(tasks)}
-    try:
-        src, dst = _edge_ids(data.get("edges") or (), index_of)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise InvalidGraphError(f"malformed edge list: {exc}") from exc
+    names = tuple(str(task) for task in tasks)  # as graph_from_dict names them
+    src, dst = edge_ids(data, {task: i for i, task in enumerate(names)})
     return InstanceSpec(
-        works=works, task_names=tuple(index_of),
+        works=works, task_names=names,
         edges_src=np.array(src, dtype=np.int64),
         edges_dst=np.array(dst, dtype=np.int64),
         deadline=deadline, alpha=alpha, s_max=s_max, name=name,
@@ -310,8 +301,8 @@ class BatchPacker:
         index_of = dict(zip(tasks, range(base, base + len(tasks))))
         try:
             works = [float(w) for w in tasks.values()]
-            src, dst = _edge_ids(graph.get("edges") or (), index_of)
-        except (TypeError, ValueError, OverflowError, KeyError, IndexError):
+            src, dst = edge_ids(graph, index_of)
+        except (TypeError, ValueError, OverflowError, InvalidGraphError):
             return False
         self._works += works
         self._src += src

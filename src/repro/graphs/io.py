@@ -39,21 +39,43 @@ def graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
         raise InvalidGraphError("graph dictionary is missing the 'tasks' key")
     tasks = data["tasks"]
     names = [str(name) for name in tasks]
-    index_of = {name: i for i, name in enumerate(names)}
-    src: list[int] = []
-    dst: list[int] = []
-    for edge in data.get("edges", []):
-        if len(edge) != 2:
-            raise InvalidGraphError(f"malformed edge entry: {edge!r}")
-        source, target = str(edge[0]), str(edge[1])
-        if source not in index_of:
-            raise InvalidGraphError(f"unknown source task {source!r}")
-        if target not in index_of:
-            raise InvalidGraphError(f"unknown target task {target!r}")
-        src.append(index_of[source])
-        dst.append(index_of[target])
+    src, dst = edge_ids(data, {name: i for i, name in enumerate(names)})
     return TaskGraph.from_arrays(names, list(tasks.values()), src, dst,
                                  name=graph_dict_name(data))
+
+
+def edge_ids(data: Mapping[str, Any], index_of: Mapping[str, int]
+             ) -> tuple[list[int], list[int]]:
+    """Task ids of the endpoints of every edge of a graph dictionary.
+
+    Every route that reads a graph dictionary resolves its edges here, so
+    an edge means the same on each: an entry holds exactly two endpoints,
+    and each is looked up as ``str(endpoint)`` in ``index_of`` (task name
+    to id).  Anything else raises :class:`InvalidGraphError`.
+    """
+    edges = data.get("edges") or ()
+    try:
+        entries = iter(edges)
+    except TypeError:
+        raise InvalidGraphError(f"malformed edge list: {edges!r}") from None
+    src: list[int] = []
+    dst: list[int] = []
+    for edge in entries:
+        try:
+            source, target = edge
+        except (TypeError, ValueError):
+            raise InvalidGraphError(f"malformed edge entry: {edge!r}") from None
+        try:
+            src.append(index_of[str(source)])
+        except KeyError:
+            raise InvalidGraphError(
+                f"unknown source task {str(source)!r}") from None
+        try:
+            dst.append(index_of[str(target)])
+        except KeyError:
+            raise InvalidGraphError(
+                f"unknown target task {str(target)!r}") from None
+    return src, dst
 
 
 def graph_dict_name(data: Mapping[str, Any]) -> str:

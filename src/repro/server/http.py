@@ -85,7 +85,7 @@ from repro.api.protocol import (
 )
 from repro.api.rowcodec import encode_rows
 from repro.reliability.policy import DEADLINE_HEADER, Deadline
-from repro.service.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_MS
+from repro.service.batcher import DEFAULT_MAX_BATCH
 from repro.utils.errors import (
     AuthError,
     DeadlineExceededError,
@@ -560,7 +560,6 @@ class SolverHTTPServer:
     def __init__(self, transport: Transport, *, host: str = "127.0.0.1",
                  port: int = 0, verbose: bool = False,
                  token: str | None = None,
-                 batch_window_ms: float = DEFAULT_WINDOW_MS,
                  batch_max: int = DEFAULT_MAX_BATCH,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  max_queue: int = DEFAULT_MAX_QUEUE,
@@ -572,7 +571,6 @@ class SolverHTTPServer:
         # (the vector core never hops to a pool), shared by all handler
         # threads so concurrent /v1/solve requests coalesce into ticks
         self.solver = SolverService(workers=1, use_threads=True,
-                                    batch_window_ms=batch_window_ms,
                                     batch_max=batch_max)
         self.admission = AdmissionController(max_inflight=max_inflight,
                                              max_queue=max_queue,
@@ -649,7 +647,6 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
           jobs_dir: str = ".repro-jobs", cache_dir: str | None = None,
           workers: int = 2, use_threads: bool = False,
           verbose: bool = False, token: str | None = None,
-          batch_window_ms: float = DEFAULT_WINDOW_MS,
           batch_max: int = DEFAULT_MAX_BATCH,
           max_inflight: int = DEFAULT_MAX_INFLIGHT,
           max_queue: int = DEFAULT_MAX_QUEUE,
@@ -659,10 +656,10 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
     Jobs are executed by a :class:`DiskTransport`, so every submission is
     durably recorded under ``jobs_dir`` and survives a server restart as a
     re-attachable record; synchronous ``/v1/solve`` requests coalesce into
-    vectorized batch ticks governed by ``batch_window_ms`` /
-    ``batch_max``.  ``token`` (default: the ``REPRO_TOKEN`` environment
-    variable) turns on bearer-token auth for every route but
-    ``/v1/healthz``.
+    vectorized batch ticks of at most ``batch_max`` instances, each tick
+    taking whatever queued while the previous one ran.  ``token``
+    (default: the ``REPRO_TOKEN`` environment variable) turns on
+    bearer-token auth for every route but ``/v1/healthz``.
 
     The work routes sit behind bounded admission (``max_inflight`` /
     ``max_queue``; excess load is shed with typed 503s + ``Retry-After``),
@@ -678,7 +675,6 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
     try:
         server = SolverHTTPServer(transport, host=host, port=port,
                                   verbose=verbose, token=token,
-                                  batch_window_ms=batch_window_ms,
                                   batch_max=batch_max,
                                   max_inflight=max_inflight,
                                   max_queue=max_queue)
@@ -702,7 +698,6 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
         pass
     print(f"repro solver service on {server.url} "
           f"(jobs: {transport.store.directory}, workers: {workers}, "
-          f"batch window: {batch_window_ms:g}ms, "
           f"admission: {max_inflight} in flight / {max_queue} queued, "
           f"auth: {'bearer token' if token else 'open'}); "
           "Ctrl+C to stop", file=sys.stderr)

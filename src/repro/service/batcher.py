@@ -3,12 +3,14 @@
 A :class:`MicroBatcher` sits between concurrent single-solve submitters
 (HTTP handler threads, :meth:`SolverService.solve` callers) and the
 struct-of-arrays batch solver.  Submissions land in a queue; a single tick
-thread wakes on the first item, waits up to ``window_ms`` for company (or
-until ``max_batch`` items arrived), then drains the queue and executes
-*one* vectorized :func:`repro.batch.vectorized.solve_batch` call for the
-whole tick.  N concurrent submitters therefore cost a handful of batch
-ticks instead of N scalar solve pipelines — the occupancy histogram in
-:meth:`stats` is the direct measurement.
+thread sleeps only while the queue is empty.  Once woken it drains up to
+``max_batch`` submissions at once and executes *one* vectorized
+:func:`repro.batch.vectorized.solve_batch` call for the whole tick;
+whatever arrives while a tick executes rides the next one.  The batcher is
+work-conserving: a lone request never waits for company, and under load
+N concurrent submitters still cost a handful of batch ticks instead of N
+scalar solve pipelines — the occupancy histogram in :meth:`stats` is the
+direct measurement.
 
 Submissions with different solver parameters may share a tick; the drain
 groups them by :func:`~repro.batch.vectorized.batch_key` (the key
@@ -19,7 +21,6 @@ batch call.
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from concurrent.futures import Future
 from typing import Any, Sequence
@@ -36,11 +37,7 @@ from repro.utils.errors import (
     TransientTransportError,
 )
 
-#: Default coalescing window: how long the first submission of a tick
-#: waits for company before the batch executes.
-DEFAULT_WINDOW_MS = 2.0
-
-#: Default tick-size cap: a full tick executes immediately.
+#: Default tick-size cap: a tick drains at most this many submissions.
 DEFAULT_MAX_BATCH = 512
 
 
@@ -49,21 +46,13 @@ class MicroBatcher:
 
     Parameters
     ----------
-    window_ms:
-        Coalescing window in milliseconds.  ``0`` disables waiting: each
-        tick drains whatever is queued the moment the thread wakes (still
-        coalescing under concurrency, minimal added latency).
     max_batch:
-        A tick executes as soon as this many submissions are queued.
+        The most submissions one tick drains; the rest ride the next tick.
     """
 
-    def __init__(self, *, window_ms: float = DEFAULT_WINDOW_MS,
-                 max_batch: int = DEFAULT_MAX_BATCH) -> None:
-        if window_ms < 0:
-            raise InvalidParameterError(f"window_ms must be >= 0, got {window_ms}")
+    def __init__(self, *, max_batch: int = DEFAULT_MAX_BATCH) -> None:
         if max_batch < 1:
             raise InvalidParameterError(f"max_batch must be >= 1, got {max_batch}")
-        self.window = window_ms / 1000.0
         self.max_batch = max_batch
         self._cond = threading.Condition()
         self._queue: list[tuple[Any, dict[str, Any], Future]] = []
@@ -86,14 +75,15 @@ class MicroBatcher:
                deadline: "Deadline | None" = None) -> "Future[BatchResult]":
         """Queue one instance; the future resolves to its ``BatchResult``.
 
-        The future never carries a solve failure as an exception — failed
-        instances resolve to ``ok=False`` rows exactly like
+        The submission rides the next tick: at once if the tick thread is
+        idle, else as soon as the tick in progress finishes.  The future
+        never carries a solve failure as an exception — failed instances
+        resolve to ``ok=False`` rows exactly like
         :func:`repro.batch.solve_many`.  It only errors if the batcher is
         shut down underneath the submission, or if ``deadline`` expires
         before the submission's tick executes
-        (:class:`~repro.utils.errors.DeadlineExceededError`): the
-        coalescing window never waits past the earliest queued deadline,
-        and an expired submission is resolved, not solved.
+        (:class:`~repro.utils.errors.DeadlineExceededError`): an expired
+        submission is resolved, not solved.
         """
         key = batch_key(method, exact, options, keep_speeds, validate)
         future: "Future[BatchResult]" = Future()
@@ -147,24 +137,11 @@ class MicroBatcher:
     def _loop(self) -> None:
         while True:
             with self._cond:
+                # work-conserving: never wait for company once work is queued
                 while not self._queue and not self._closed:
                     self._cond.wait()
-                if self._closed and not self._queue:
+                if not self._queue:  # closed and drained
                     return
-                if self.window > 0.0:
-                    until = time.monotonic() + self.window
-                    # never coalesce past the earliest queued deadline: a
-                    # request with 5ms of budget left must not sit out a
-                    # full window waiting for company
-                    for _item, spec, _future in self._queue:
-                        d = spec.get("deadline")
-                        if d is not None:
-                            until = min(until,
-                                        time.monotonic() + d.remaining())
-                    while len(self._queue) < self.max_batch and not self._closed:
-                        remaining = until - time.monotonic()
-                        if remaining <= 0 or not self._cond.wait(remaining):
-                            break
                 batch = self._queue[:self.max_batch]
                 del self._queue[:self.max_batch]
                 self._ticks += 1
@@ -233,7 +210,6 @@ class MicroBatcher:
                 "ticks": ticks,
                 "submitted": submitted,
                 "direct_batches": self._direct,
-                "window_ms": self.window * 1000.0,
                 "max_batch": self.max_batch,
                 "occupancy": occupancy,
                 "mean_occupancy": (submitted / ticks) if ticks else 0.0,

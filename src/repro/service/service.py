@@ -33,7 +33,7 @@ from repro.batch.sweep import plan_sweep, sweep_table
 from repro.batch.vectorized import (
     VECTORIZE_MAX_TASKS, InstanceSpec, PackedBatch, solve_batch)
 from repro.core.problem import MinEnergyProblem
-from repro.service.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_MS, MicroBatcher
+from repro.service.batcher import DEFAULT_MAX_BATCH, MicroBatcher
 from repro.service.jobs import JobHandle, JobStatus
 from repro.utils.tables import Table
 from repro.utils.errors import InvalidParameterError, ShutdownError
@@ -63,16 +63,15 @@ class SolverService:
         :func:`repro.core.validation.check_solution` in the worker.
     keep_speeds:
         Include per-task speeds in every result.
-    batch_window_ms / batch_max:
-        Coalescing window and tick-size cap of the synchronous solve fast
-        path (:meth:`solve` / :meth:`solve_batch`), which runs on a
+    batch_max:
+        Tick-size cap of the synchronous solve fast path (:meth:`solve` /
+        :meth:`solve_many_now`), which runs on a
         :class:`~repro.service.batcher.MicroBatcher` instead of the pool.
     """
 
     def __init__(self, *, workers: int = 2, use_threads: bool = False,
                  cache: "ResultCache | None" = None,
                  validate: bool = True, keep_speeds: bool = False,
-                 batch_window_ms: float = DEFAULT_WINDOW_MS,
                  batch_max: int = DEFAULT_MAX_BATCH) -> None:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
@@ -88,7 +87,6 @@ class SolverService:
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
         self._closed = False
-        self._batch_window_ms = batch_window_ms
         self._batch_max = batch_max
         self._batcher: MicroBatcher | None = None
 
@@ -194,9 +192,7 @@ class SolverService:
             if self._closed:
                 raise ShutdownError("SolverService is shut down")
             if self._batcher is None:
-                self._batcher = MicroBatcher(
-                    window_ms=self._batch_window_ms,
-                    max_batch=self._batch_max)
+                self._batcher = MicroBatcher(max_batch=self._batch_max)
             return self._batcher
 
     def solve(self, item: "MinEnergyProblem | InstanceSpec", *,
@@ -207,14 +203,15 @@ class SolverService:
               deadline: "Deadline | None" = None) -> BatchResult:
         """Solve one instance synchronously, coalescing with concurrent calls.
 
-        Small instances queue on the micro-batcher (one vectorized batch
-        tick per coalescing window); large ones solve immediately in the
+        Small instances queue on the micro-batcher and ride its next
+        vectorized tick together with whatever else is queued by then
+        (at once when it is idle); large ones solve immediately in the
         calling thread — no job record, no cache, no pool hop either way.
         Failures come back as ``ok=False`` rows, never as raised
         exceptions (use :meth:`repro.api.SolverClient.solve` for the
         raising flavour).  ``deadline`` (a
-        :class:`repro.reliability.Deadline`) bounds the wait: the batcher
-        never coalesces past it, and an expired request raises
+        :class:`repro.reliability.Deadline`) bounds the wait, and a
+        request whose deadline expired before its tick raises
         :class:`~repro.utils.errors.DeadlineExceededError` instead of
         solving.
         """
@@ -255,7 +252,6 @@ class SolverService:
         with self._lock:
             if self._batcher is None:
                 return {"ticks": 0, "submitted": 0, "direct_batches": 0,
-                        "window_ms": self._batch_window_ms,
                         "max_batch": self._batch_max, "occupancy": {},
                         "mean_occupancy": 0.0, "max_occupancy": 0}
         return self._batcher.stats()

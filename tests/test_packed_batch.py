@@ -112,6 +112,11 @@ def mixed_body() -> list:
                       name="cycle"),
         graph_payload({}, [], name="empty"),
         graph_payload({"a": 1.0}, [], deadline="soon", name="bad-deadline"),
+        # edges read as every route reads them: exactly two endpoints,
+        # each resolved as str(endpoint)
+        graph_payload({"a": 1.0, "b": 2.0}, [["a", "b", "c"]],
+                      name="three-endpoints"),
+        graph_payload({"1": 1.0, "2": 2.0}, [[1, 2]], name="int-endpoints"),
         payload(tree, name="last"),
     ]
 
@@ -177,6 +182,7 @@ class TestMixedBodyParity:
         assert solvers["capped"] not in (TREE_BATCH_SOLVER, SP_BATCH_SOLVER)
         assert solvers["discrete"].startswith("discrete")
         assert solvers["MinEnergy(taskgraph, D=9)"] == TREE_BATCH_SOLVER
+        assert solvers["int-endpoints"] == TREE_BATCH_SOLVER
         errors = {row.name: row.error_type for row in rows if not row.ok}
         assert errors == {
             "": "TransportError",  # the bare 42
@@ -188,7 +194,30 @@ class TestMixedBodyParity:
             "cycle": "InvalidGraphError",
             "empty": "InvalidGraphError",
             "bad-deadline": "TransportError",
+            "three-endpoints": "InvalidGraphError",
         }
+
+    @pytest.mark.parametrize("tasks, edges", [
+        ({"a": 1.0, "b": 2.0}, [["a", "b", "c"]]),
+        ({"1": 1.0, "2": 2.0}, [[1, 2]]),
+        ({1: 1.0, 2: 2.0}, [[1, 2]]),  # in process, names as str()
+        ({"a": 1.0, "b": 2.0}, [["a", "missing"]]),
+        ({"a": 1.0}, 5),
+    ])
+    def test_edges_read_the_same_on_every_route(self, service, tasks,
+                                                edges):
+        wire = graph_payload(tasks, edges)
+        default = solo_row(service, wire, False)
+        named = solo_row(service, wire | {"method": "tree"}, False)
+        discrete = solo_row(service, wire | {"model": "discrete",
+                                             "modes": [0.5, 1.0],
+                                             "s_max": 1.0}, False)
+        assert default.solver in (TREE_BATCH_SOLVER, None)
+        for other in (named, discrete):
+            for attr in ("ok", "error_type", "error"):
+                assert getattr(default, attr) == getattr(other, attr), attr
+        if default.ok:
+            assert default.energy == pytest.approx(named.energy, rel=1e-9)
 
     @pytest.mark.parametrize("keep_speeds", [False, True])
     def test_http_rows_match_solo_solves(self, tmp_path, service,
@@ -296,15 +325,20 @@ class TestEmptyInstances:
         assert not rows["empty"].ok
         assert rows["empty"].error_type == "InvalidGraphError"
 
-    def test_singles_sharing_a_tick_both_answer(self):
+    def test_singles_sharing_a_tick_both_answer(self, tick_gate):
         tree = SolveRequest.from_wire(_tree_wire()).to_instance()
         empty = SolveRequest.from_wire(_empty_wire()).to_instance()
-        with MicroBatcher(window_ms=200.0) as batcher:
+        with MicroBatcher() as batcher:
+            held = tick_gate.hold(batcher, tree)
             first = batcher.submit(tree)
             second = batcher.submit(empty)
+            tick_gate.release.set()
+            assert held.result(timeout=10).ok
             tree_row = first.result(timeout=10)
             empty_row = second.result(timeout=10)
-            assert batcher.stats()["ticks"] == 1
+            # the held tick, then one tick for both
+            assert batcher.stats()["ticks"] == 2
+            assert tick_gate.sizes == [1, 2]
         assert tree_row.ok
         assert not empty_row.ok
         assert empty_row.error_type == "InvalidGraphError"

@@ -390,7 +390,7 @@ class TestCircuitBreaker:
 # --------------------------------------------------------------------- #
 class TestBatcherReliability:
     def test_expired_deadline_is_resolved_not_solved(self):
-        with MicroBatcher(window_ms=0) as batcher:
+        with MicroBatcher() as batcher:
             deadline = Deadline.after(0.001)
             time.sleep(0.01)
             future = batcher.submit(_problem(), deadline=deadline)
@@ -399,7 +399,7 @@ class TestBatcherReliability:
 
     def test_tick_fault_requeues_the_batch_with_identical_results(self):
         problem = _problem()
-        with MicroBatcher(window_ms=0) as batcher:
+        with MicroBatcher() as batcher:
             baseline = batcher.solve(problem, timeout=30)
             with failpoints.armed("batcher.tick") as plan:
                 faulted = batcher.solve(problem, timeout=30)

@@ -14,6 +14,7 @@ while the fast path keeps serving.
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 import urllib.request
@@ -78,7 +79,7 @@ def make_problem(graph, *, slack=1.6, s_max=2.0, alpha=3.0):
 def http_server(tmp_path_factory):
     transport = DiskTransport(tmp_path_factory.mktemp("solve-server-jobs"),
                               use_threads=True)
-    with SolverHTTPServer(transport, batch_window_ms=5.0).start() as server:
+    with SolverHTTPServer(transport).start() as server:
         yield server
 
 
@@ -167,10 +168,10 @@ class TestVectorizedVsScalar:
 
 
 class TestMicroBatcherCoalescing:
-    def test_concurrent_submits_share_ticks(self):
+    def test_concurrent_submits_share_ticks(self, tick_gate):
         problems = [make_problem(generators.random_tree(8, seed=s))
                     for s in range(40)]
-        with MicroBatcher(window_ms=25.0) as batcher:
+        with MicroBatcher() as batcher:
             results: list = [None] * len(problems)
 
             def run(i):
@@ -180,25 +181,64 @@ class TestMicroBatcherCoalescing:
                        for i in range(len(problems))]
             for t in threads:
                 t.start()
+            # the first tick is held with whatever was queued when the
+            # thread woke; everything submitted after it queues up
+            tick_gate.wait_held()
+            tick_gate.wait_submitted(batcher, len(problems))
+            tick_gate.release.set()
             for t in threads:
-                t.join()
+                t.join(timeout=30.0)
+                assert not t.is_alive()
             stats = batcher.stats()
         assert all(r.ok for r in results)
         assert stats["submitted"] == len(problems)
         # the whole point: far fewer ticks than submissions
         assert stats["ticks"] < len(problems) / 2
         assert stats["mean_occupancy"] > 1.0
+        assert stats["ticks"] == 2
+        assert sum(tick_gate.sizes) == len(problems)
 
-    def test_cancelled_submission_leaves_the_tick_thread_serving(self):
+    def test_cancelled_submission_leaves_the_tick_thread_serving(
+            self, tick_gate):
         problem = make_problem(generators.random_tree(8, seed=1))
-        with MicroBatcher(window_ms=50.0) as batcher:
+        with MicroBatcher() as batcher:
+            first = tick_gate.hold(batcher, problem)
             cancelled = batcher.submit(problem)
             assert cancelled.cancel()
             # shares the cancelled submission's tick
             same_tick = batcher.submit(problem)
+            tick_gate.release.set()
+            assert first.result(timeout=5.0).ok
             assert same_tick.result(timeout=5.0).ok
             assert batcher.solve(problem, timeout=5.0).ok
             assert cancelled.cancelled()
+            stats = batcher.stats()
+        # the held tick, the shared one, the last solve; the cancelled
+        # submission never reached solve_batch
+        assert stats["occupancy"] == {1: 2, 2: 1}
+        assert tick_gate.sizes == [1, 1, 1]
+
+    @pytest.mark.parametrize("max_batch, ticks", [(512, [1, 9]),
+                                                  (4, [1, 4, 4, 1])])
+    def test_submissions_made_during_a_tick_ride_the_next(
+            self, tick_gate, max_batch, ticks):
+        problems = [make_problem(generators.random_tree(6, seed=s))
+                    for s in range(10)]
+        with MicroBatcher(max_batch=max_batch) as batcher:
+            futures = [tick_gate.hold(batcher, problems[0])]
+            futures += [batcher.submit(p) for p in problems[1:]]
+            tick_gate.release.set()
+            rows = [f.result(timeout=5.0) for f in futures]
+            stats = batcher.stats()
+        assert all(row.ok for row in rows)
+        # one solve_batch call per tick, each draining up to max_batch
+        assert tick_gate.sizes == ticks
+        assert stats["ticks"] == len(ticks)
+        assert stats["max_occupancy"] == max(ticks)
+        assert set(stats) == {"ticks", "submitted", "direct_batches",
+                              "max_batch", "occupancy", "mean_occupancy",
+                              "max_occupancy"}
+        assert [row.name for row in rows] == [p.name for p in problems]
 
     def test_closed_batcher_rejects_submissions(self):
         batcher = MicroBatcher()
@@ -265,6 +305,47 @@ class TestSolveEnvelopes:
         assert decoded[1].error_type == "ValueError" and not decoded[1].ok
         assert decoded[2].speeds == {"u0": 0.5}
         assert [r.energy for r in decoded] == [1.5, None, 0.5]
+
+    def test_codec_frame_of_a_mixed_row_set(self):
+        nan = float("nan")
+        rows = [SolveResponse(ok=True, name="a", n_tasks=2, energy=1.5,
+                              makespan=2.0, solver="s2", optimal=True,
+                              seconds=0.01, speeds={"t0": 1.0, "t1": 2.0}),
+                SolveResponse.from_failure(ValueError("boom"), name="b",
+                                           n_tasks=3),
+                SolveResponse(ok=True, name="c", n_tasks=1, energy=0.5,
+                              makespan=1.0, solver="s1", optimal=False,
+                              lower_bound=0.25, seconds=0.02,
+                              speeds={"u0": 0.5}),
+                SolveResponse(ok=True, name="d", n_tasks=4, energy=3.0,
+                              makespan=4.0, seconds=0.03),
+                SolveResponse(ok=True, name="e", n_tasks=1, energy=1.0,
+                              makespan=1.0, solver="s2", seconds=0.0),
+                SolveResponse.from_failure(InvalidGraphError("cycle"),
+                                           name="f")]
+        task_names = [list(r.speeds) if r.speeds else None for r in rows]
+        frame = encode_rows(rows, speeds_vectors=[
+            None if r.speeds is None else np.array(list(r.speeds.values()))
+            for r in rows])
+        # the layout the frame has always had: one row-major float64 cell
+        # per (row, column), None as NaN, the solver legend in first use
+        matrix = np.frombuffer(base64.b64decode(frame["data"]), dtype="<f8")
+        np.testing.assert_array_equal(matrix.reshape(6, 8), [
+            [1.0, 2, 1.5, 2.0, 1.0, nan, 0.01, 0],
+            [0.0, 3, nan, nan, nan, nan, 0.0, nan],
+            [1.0, 1, 0.5, 1.0, 0.0, 0.25, 0.02, 1],
+            [1.0, 4, 3.0, 4.0, nan, nan, 0.03, nan],
+            [1.0, 1, 1.0, 1.0, nan, nan, 0.0, 0],
+            [0.0, 0, nan, nan, nan, nan, 0.0, nan]])
+        assert frame["solvers"] == ["s2", "s1"]
+        assert frame["names"] == ["a", "b", "c", "d", "e", "f"]
+        assert frame["errors"] == [[1, "ValueError", "boom"],
+                                   [5, "InvalidGraphError", "cycle"]]
+        decoded = decode_rows(json.loads(json.dumps(frame)),
+                              task_names=task_names)
+        assert decoded == rows
+        empty = encode_rows([])
+        assert empty["count"] == 0 and decode_rows(empty) == []
 
     @pytest.mark.parametrize("mutate", [
         lambda f: f.update(kind="nope"),
