@@ -14,6 +14,11 @@ measures end-to-end solves/sec and request latency:
   occupancy (from ``/v1/batch_stats``) is the direct proof that N
   requests cost far fewer than N solve pipelines.
 
+Off the clock, the first 64 pool instances are then posted once singly to
+``/v1/solve`` and once as one ``/v1/solve_batch``: the run fails unless
+every single answers with its batch row's solver and an energy within a
+relative 1e-12 of it.
+
 Standalone mode targets an external server (the CI ``throughput-smoke``
 job starts ``repro serve`` and points ``--url`` at it)::
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import math
 import pathlib
 import sys
 import threading
@@ -38,13 +44,17 @@ if str(_SRC) not in sys.path:
     except ImportError:  # pragma: no cover - only hit without installation
         sys.path.insert(0, str(_SRC))
 
-from repro.api.protocol import SCHEMA_VERSION
+from repro.api.protocol import SCHEMA_VERSION, SolveResponse
+from repro.api.rowcodec import decode_rows
 from repro.graphs.analysis import longest_path_length
 from repro.graphs.generators import random_tree
 from repro.graphs.io import graph_to_dict
 from repro.utils.tables import Table
 
 S_MAX = 2.0
+
+#: Pool instances posted both singly and as one batch by the answer check.
+AGREEMENT_ROWS = 64
 
 
 def _request_wire(n_tasks: int, seed: int, slack: float = 1.8) -> dict:
@@ -104,6 +114,41 @@ def _batch_stats(host: str, port: int) -> dict:
         return json.loads(conn.getresponse().read())
     finally:
         conn.close()
+
+
+def _post_json(conn: http.client.HTTPConnection, path: str,
+               payload: dict) -> dict:
+    conn.request("POST", path, body=json.dumps(payload).encode("utf-8"),
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    body = response.read()
+    if response.status != 200:
+        raise AssertionError(f"{path}: HTTP {response.status}: {body[:200]!r}")
+    return json.loads(body)
+
+
+def _check_agreement(host: str, port: int, wires: list[dict]) -> None:
+    """Fail unless ``/v1/solve`` and ``/v1/solve_batch`` answer ``wires``
+    alike: the same solver, and energies within a relative 1e-12."""
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        singles = [SolveResponse.from_wire(_post_json(conn, "/v1/solve", w))
+                   for w in wires]
+        rows = decode_rows(_post_json(conn, "/v1/solve_batch", {
+            "schema_version": SCHEMA_VERSION, "requests": wires}))
+    finally:
+        conn.close()
+    if len(rows) != len(wires):
+        raise AssertionError(
+            f"solve_batch answered {len(rows)} rows for {len(wires)} requests")
+    for i, (single, row) in enumerate(zip(singles, rows)):
+        if single.solver != row.solver or single.ok != row.ok or (
+                row.ok and not math.isclose(single.energy, row.energy,
+                                            rel_tol=1e-12)):
+            raise AssertionError(
+                f"instance {i}: /v1/solve answered {single.solver} "
+                f"{single.energy!r}, /v1/solve_batch {row.solver} "
+                f"{row.energy!r}")
 
 
 def _percentile(latencies: list[float], q: float) -> float:
@@ -183,6 +228,9 @@ def throughput_benchmark(*, clients: int = 4, batch: int = 512,
                       (submitted / ticks) if ticks else 0.0,
                       max((int(k) for k in histogram), default=0),
                       json.dumps(histogram, sort_keys=True))
+
+        # -- off the clock: both routes give the same answers ------------ #
+        _check_agreement(host, port, pool[:AGREEMENT_ROWS])
     finally:
         if server is not None:
             server.shutdown()

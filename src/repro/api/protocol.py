@@ -86,7 +86,7 @@ from repro.utils.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.batch.engine import BatchResult
-    from repro.batch.vectorized import BatchPacker, InstanceSpec
+    from repro.batch.vectorized import BatchPacker, WireInstance
     from repro.core.problem import MinEnergyProblem
 from repro.utils.tables import Table
 
@@ -384,22 +384,23 @@ class SolveRequest:
         return MinEnergyProblem(graph=graph, deadline=deadline, model=model,
                                 power=power, name=self.name)
 
-    def to_instance(self) -> "InstanceSpec | MinEnergyProblem":
+    def to_instance(self) -> "WireInstance | MinEnergyProblem":
         """What the batch solver should consume for this request.
 
-        Deadline-given Continuous requests lower straight to an
-        :class:`~repro.batch.vectorized.InstanceSpec` (no ``TaskGraph``
-        construction on the fast path); everything else materialises the
-        problem object.
+        A deadline-given Continuous request becomes a
+        :class:`~repro.batch.vectorized.WireInstance`: its graph dict and
+        scalars, which the batch solver packs as ``/v1/solve_batch``
+        packs a row (no ``TaskGraph`` on the fast path); everything else
+        materialises the problem object.
         """
         if self.model == "continuous" and self.deadline is not None \
                 and not self.options:
-            from repro.batch.vectorized import spec_from_graph_dict
+            from repro.batch.vectorized import WireInstance
 
-            cap = math.inf if self.s_max is None else float(self.s_max)
-            return spec_from_graph_dict(
-                self.graph, deadline=float(self.deadline), alpha=self.alpha,
-                s_max=cap, name=self.name)
+            return WireInstance(
+                self.graph, float(self.deadline),
+                None if self.s_max is None else float(self.s_max),
+                self.alpha, self.name)
         return self.build_problem()
 
     # -- wire format --------------------------------------------------- #

@@ -60,11 +60,9 @@ from repro.batch.engine import BatchResult, failed, solve_many, summarize
 from repro.batch.vectorized import (
     VECTORIZE_MAX_TASKS,
     BatchPacker,
-    InstanceSpec,
     PackedBatch,
+    WireInstance,
     solve_batch,
-    spec_from_graph_dict,
-    spec_from_problem,
 )
 from repro.batch.merge import (
     ShardDump,
@@ -101,7 +99,6 @@ __all__ = [
     "BatchPacker",
     "BatchResult",
     "COORD_COLUMNS",
-    "InstanceSpec",
     "PackedBatch",
     "SHARD_STRATEGIES",
     "SWEEP_COLUMNS",
@@ -109,6 +106,7 @@ __all__ = [
     "ShardSpec",
     "SweepPlan",
     "VECTORIZE_MAX_TASKS",
+    "WireInstance",
     "assign_shards",
     "priors_from_rows",
     "build_sweep_coords",
@@ -125,8 +123,6 @@ __all__ = [
     "rows_signature",
     "solve_batch",
     "solve_many",
-    "spec_from_graph_dict",
-    "spec_from_problem",
     "summarize",
     "sweep",
     "sweep_cache_stats",

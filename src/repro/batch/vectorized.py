@@ -13,16 +13,16 @@ pool hop.
 
 Packed batches
 --------------
-A :class:`PackedBatch` is the vector core's one input.  Two packers fill
-it:
-
-- :func:`solve_batch` lowers :class:`MinEnergyProblem` objects and
-  :class:`InstanceSpec` entries (the library and the micro-batcher);
-- :class:`BatchPacker` appends wire graph dicts one at a time to plain
-  lists and converts them once, so ``POST /v1/solve_batch`` decodes
-  straight into the core's arrays
-  (:meth:`repro.api.protocol.SolveRequest.from_wire` with ``pack=``)
-  without an object or an array per instance.
+A :class:`PackedBatch` is the vector core's one input, and a
+:class:`BatchPacker` is the one way to fill it: :meth:`BatchPacker.add`
+appends a wire graph dict and :meth:`BatchPacker.add_problem` a
+:class:`MinEnergyProblem`, to plain lists that become arrays once.
+``POST /v1/solve_batch`` decodes straight into a packer
+(:meth:`repro.api.protocol.SolveRequest.from_wire` with ``pack=``);
+:func:`solve_batch` packs its problems and :class:`WireInstance` entries
+(a ``/v1/solve`` after :meth:`~repro.api.protocol.SolveRequest.to_instance`)
+with the same two methods, so the micro-batcher's tick reads a single
+request exactly as the batch route reads a row.
 
 Every reduction over instances is a ``bincount`` over per-task instance
 ids: it is safe for instances without tasks, and it sums each instance's
@@ -86,111 +86,44 @@ SP_BATCH_SOLVER = "continuous-sp-batch"
 
 
 # --------------------------------------------------------------------------- #
-# instance specs
+# packed batches
 # --------------------------------------------------------------------------- #
-@dataclass
-class InstanceSpec:
-    """One solve instance in array form (a single request, or a problem).
+class WireInstance(NamedTuple):
+    """One deadline-given Continuous request as :meth:`BatchPacker.add`
+    reads it: the wire graph dict and its scalars, no arrays.
 
-    A spec is the minimal data the packed solver needs: the work vector in
-    task order, the edge list as index pairs, and the scalar parameters.
-    Specs built straight from a decoded request dict (``/v1/solve``) skip
-    ``TaskGraph`` construction entirely; the full problem object is only
-    materialised lazily (``materialise``) when the instance has to take
-    the scalar fallback path.
+    :meth:`repro.api.protocol.SolveRequest.to_instance` returns one, so a
+    ``/v1/solve`` is packed by :func:`solve_batch` exactly as
+    ``/v1/solve_batch`` packs a row.  ``s_max`` of ``None`` is uncapped.
     """
 
-    works: np.ndarray
-    task_names: Sequence[str]
-    edges_src: np.ndarray
-    edges_dst: np.ndarray
+    graph: Mapping[str, Any]
     deadline: float
+    s_max: float | None = None
     alpha: float = 3.0
-    s_max: float = math.inf
     name: str = ""
-    graph_name: str = ""
-    #: original ``graph_to_dict`` payload, kept for lazy problem rebuild
-    graph_data: dict[str, Any] | None = None
-    #: set when the spec was derived from an existing problem object
-    problem: MinEnergyProblem | None = None
 
     @property
     def n_tasks(self) -> int:
-        return int(self.works.shape[0])
-
-    @property
-    def display_name(self) -> str:
-        return self.name or default_problem_name(self.graph_name,
-                                                 self.deadline)
-
-    def materialise(self) -> MinEnergyProblem:
-        """The full problem object (built on demand for fallback/validation)."""
-        if self.problem is None:
-            if self.graph_data is None:
-                raise InvalidGraphError(
-                    "instance spec carries neither a problem nor graph data")
-            self.problem = _graph_dict_problem(
-                self.graph_data, deadline=self.deadline, alpha=self.alpha,
-                s_max=self.s_max, name=self.name)
-        return self.problem
+        return len(self.graph.get("tasks") or ())
 
 
 def _graph_dict_problem(data: Mapping[str, Any], *, deadline: float,
-                        alpha: float, s_max: float,
+                        alpha: float, s_max: float | None,
                         name: str) -> MinEnergyProblem:
     """The Continuous problem over a ``graph_to_dict`` payload."""
     power = CUBIC if alpha == 3.0 else PowerLaw(alpha=alpha)
     return MinEnergyProblem(
         graph=graph_from_dict(data), deadline=deadline,
-        model=ContinuousModel(s_max=s_max), power=power, name=name)
+        model=ContinuousModel(s_max=math.inf if s_max is None else s_max),
+        power=power, name=name)
 
 
-def spec_from_problem(problem: MinEnergyProblem) -> InstanceSpec:
-    """Lower a (Continuous-model) problem to an :class:`InstanceSpec`.
-
-    The caller is responsible for eligibility checks; the returned spec
-    keeps a reference to the problem so the scalar fallback never rebuilds
-    anything.
-    """
-    idx = problem.graph.index()
-    model = problem.model
-    s_max = model.s_max if isinstance(model, ContinuousModel) else math.inf
-    return InstanceSpec(
-        works=idx.works, task_names=idx.names,
-        edges_src=idx.edge_src, edges_dst=idx.edge_dst,
-        deadline=problem.deadline, alpha=problem.power.alpha, s_max=s_max,
-        name=problem.name, graph_name=problem.graph.name, problem=problem)
+def _row_name(graph: Mapping[str, Any], deadline: float, name: str) -> str:
+    """The given name, else the one the problem of ``graph`` would get."""
+    return name or default_problem_name(graph_dict_name(graph), deadline)
 
 
-def spec_from_graph_dict(data: dict[str, Any], *, deadline: float,
-                         alpha: float = 3.0, s_max: float = math.inf,
-                         name: str = "") -> InstanceSpec:
-    """Lower a ``graph_to_dict`` payload straight to a spec (no TaskGraph).
-
-    Only the structure needed for packing is extracted; semantic validation
-    (positive works, acyclicity, ...) happens implicitly — instances that
-    fail the vector path's structural checks are rebuilt as real problems,
-    which re-raise the library's usual typed errors.
-    """
-    try:
-        tasks = data["tasks"]
-        works = np.fromiter(tasks.values(), dtype=np.float64, count=len(tasks))
-    except (TypeError, KeyError, AttributeError, ValueError,
-            OverflowError) as exc:
-        raise InvalidGraphError(f"malformed graph payload: {exc}") from exc
-    names = tuple(str(task) for task in tasks)  # as graph_from_dict names them
-    src, dst = edge_ids(data, {task: i for i, task in enumerate(names)})
-    return InstanceSpec(
-        works=works, task_names=names,
-        edges_src=np.array(src, dtype=np.int64),
-        edges_dst=np.array(dst, dtype=np.int64),
-        deadline=deadline, alpha=alpha, s_max=s_max, name=name,
-        graph_name=graph_dict_name(data), graph_data=data)
-
-
-# --------------------------------------------------------------------------- #
-# packed batches
-# --------------------------------------------------------------------------- #
 @dataclass
 class PackedBatch:
     """Many small Continuous instances as flat arrays: the core's input.
@@ -199,7 +132,7 @@ class PackedBatch:
     and edges ``edge_off[i]:edge_off[i + 1]`` of ``edge_src``/``edge_dst``,
     whose endpoints are batch-wide task ids.  ``names`` are the row names
     (the given name, else the problem's default); ``sources`` keeps what
-    each instance came from — an :class:`InstanceSpec` or a wire graph
+    each instance came from — a :class:`MinEnergyProblem` or a wire graph
     dict — for the scalar fallback and the task names of speed maps.
     """
 
@@ -212,53 +145,26 @@ class PackedBatch:
     s_max: np.ndarray
     alpha: np.ndarray
     names: list[str]
-    sources: list[InstanceSpec | Mapping[str, Any]]
+    sources: list[MinEnergyProblem | Mapping[str, Any]]
 
     def __len__(self) -> int:
         return len(self.names)
-
-    @classmethod
-    def from_specs(cls, specs: Sequence[InstanceSpec]) -> "PackedBatch":
-        """Concatenate specs into one batch, in order."""
-        count = len(specs)
-        task_off = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum([s.n_tasks for s in specs], out=task_off[1:])
-        edge_counts = [s.edges_src.shape[0] for s in specs]
-        edge_off = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(edge_counts, out=edge_off[1:])
-        shift = np.repeat(task_off[:-1], edge_counts)
-
-        def joined(arrays: list[np.ndarray], dtype: type) -> np.ndarray:
-            if not arrays:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(arrays).astype(dtype, copy=False)
-
-        return cls(
-            works=joined([s.works for s in specs], np.float64),
-            task_off=task_off,
-            edge_src=joined([s.edges_src for s in specs], np.int64) + shift,
-            edge_dst=joined([s.edges_dst for s in specs], np.int64) + shift,
-            edge_off=edge_off,
-            deadline=np.array([s.deadline for s in specs], dtype=np.float64),
-            s_max=np.array([s.s_max for s in specs], dtype=np.float64),
-            alpha=np.array([s.alpha for s in specs], dtype=np.float64),
-            names=[s.display_name for s in specs], sources=list(specs))
 
     def n_tasks(self, i: int) -> int:
         return int(self.task_off[i + 1] - self.task_off[i])
 
     def task_names(self, i: int) -> Sequence[str]:
         source = self.sources[i]
-        if isinstance(source, InstanceSpec):
-            return source.task_names
-        return list(source["tasks"])
+        if isinstance(source, MinEnergyProblem):
+            return source.graph.index().names
+        return [str(task) for task in source["tasks"]]
 
     def problem(self, i: int) -> MinEnergyProblem:
         """The full problem of instance ``i`` (raises the library's typed
         error when its data does not make a valid problem)."""
         source = self.sources[i]
-        if isinstance(source, InstanceSpec):
-            return source.materialise()
+        if isinstance(source, MinEnergyProblem):
+            return source
         return _graph_dict_problem(
             source, deadline=float(self.deadline[i]),
             alpha=float(self.alpha[i]), s_max=float(self.s_max[i]),
@@ -266,10 +172,11 @@ class PackedBatch:
 
 
 class BatchPacker:
-    """Fill a :class:`PackedBatch` one wire graph dict at a time.
+    """Fill a :class:`PackedBatch`: the only way into one.
 
-    Everything accumulates in plain lists and becomes arrays once, in
-    :meth:`build`.
+    :meth:`add` appends a wire graph dict, :meth:`add_problem` a problem
+    object.  Everything accumulates in plain lists, edges as
+    instance-local task ids, and becomes arrays once, in :meth:`build`.
     """
 
     def __init__(self) -> None:
@@ -282,7 +189,7 @@ class BatchPacker:
         self._s_max: list[float] = []
         self._alpha: list[float] = []
         self._names: list[str] = []
-        self._graphs: list[Mapping[str, Any]] = []
+        self._sources: list[MinEnergyProblem | Mapping[str, Any]] = []
 
     def add(self, graph: Mapping[str, Any], *, deadline: float,
             s_max: float | None, alpha: float, name: str) -> bool:
@@ -292,42 +199,67 @@ class BatchPacker:
         name two of its tasks.  Such an instance goes the scalar way,
         which reports it as it would a single request.
 
-        ``graph`` must map ``"tasks"`` to a mapping (the caller checked).
+        ``graph`` must map ``"tasks"`` to a mapping (the caller checked);
+        tasks are named ``str(task)``, as :func:`graph_from_dict` names
+        them.
         """
         tasks = graph["tasks"]
-        base = self._task_off[-1]
         if len(tasks) > VECTORIZE_MAX_TASKS:
             return False
-        index_of = dict(zip(tasks, range(base, base + len(tasks))))
         try:
             works = [float(w) for w in tasks.values()]
-            src, dst = edge_ids(graph, index_of)
+            src, dst = edge_ids(graph, {str(task): i
+                                        for i, task in enumerate(tasks)})
         except (TypeError, ValueError, OverflowError, InvalidGraphError):
             return False
+        self._append(works, src, dst, deadline,
+                     math.inf if s_max is None else s_max, alpha,
+                     _row_name(graph, deadline, name), graph)
+        return True
+
+    def add_problem(self, problem: MinEnergyProblem) -> bool:
+        """Append a Continuous problem of at most
+        :data:`VECTORIZE_MAX_TASKS` tasks; ``False`` (nothing appended)
+        for any other problem."""
+        model = problem.model
+        if not isinstance(model, ContinuousModel) \
+                or problem.n_tasks > VECTORIZE_MAX_TASKS:
+            return False
+        idx = problem.graph.index()
+        self._append(idx.works.tolist(), idx.edge_src.tolist(),
+                     idx.edge_dst.tolist(), problem.deadline, model.s_max,
+                     problem.power.alpha, problem.name, problem)
+        return True
+
+    def _append(self, works: list[float], src: list[int], dst: list[int],
+                deadline: float, s_max: float, alpha: float, name: str,
+                source: MinEnergyProblem | Mapping[str, Any]) -> None:
         self._works += works
         self._src += src
         self._dst += dst
-        self._task_off.append(base + len(works))
+        self._task_off.append(self._task_off[-1] + len(works))
         self._edge_off.append(self._edge_off[-1] + len(src))
         self._deadline.append(deadline)
-        self._s_max.append(math.inf if s_max is None else s_max)
+        self._s_max.append(s_max)
         self._alpha.append(alpha)
-        self._names.append(name or default_problem_name(
-            graph_dict_name(graph), deadline))
-        self._graphs.append(graph)
-        return True
+        self._names.append(name)
+        self._sources.append(source)
 
     def build(self) -> PackedBatch:
+        task_off = np.array(self._task_off, dtype=np.int64)
+        edge_off = np.array(self._edge_off, dtype=np.int64)
+        # instance-local edge ids become batch-wide ones here, once
+        shift = np.repeat(task_off[:-1], np.diff(edge_off))
         return PackedBatch(
             works=np.array(self._works, dtype=np.float64),
-            task_off=np.array(self._task_off, dtype=np.int64),
-            edge_src=np.array(self._src, dtype=np.int64),
-            edge_dst=np.array(self._dst, dtype=np.int64),
-            edge_off=np.array(self._edge_off, dtype=np.int64),
+            task_off=task_off,
+            edge_src=np.array(self._src, dtype=np.int64) + shift,
+            edge_dst=np.array(self._dst, dtype=np.int64) + shift,
+            edge_off=edge_off,
             deadline=np.array(self._deadline, dtype=np.float64),
             s_max=np.array(self._s_max, dtype=np.float64),
             alpha=np.array(self._alpha, dtype=np.float64),
-            names=self._names, sources=self._graphs)
+            names=self._names, sources=self._sources)
 
 
 # --------------------------------------------------------------------------- #
@@ -678,17 +610,6 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
 # --------------------------------------------------------------------------- #
 # public batch API
 # --------------------------------------------------------------------------- #
-def _vector_spec(item: MinEnergyProblem | InstanceSpec) -> InstanceSpec | None:
-    """``item`` as a spec when the vector core may solve it."""
-    if item.n_tasks > VECTORIZE_MAX_TASKS:
-        return None
-    if isinstance(item, InstanceSpec):
-        return item
-    if not isinstance(item.model, ContinuousModel):
-        return None
-    return spec_from_problem(item)
-
-
 def batch_key(method: str | None, exact: bool | None,
               options: dict[str, Any] | None, keep_speeds: bool,
               validate: bool) -> tuple:
@@ -704,7 +625,7 @@ def batch_key(method: str | None, exact: bool | None,
             keep_speeds, validate)
 
 
-def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec] | PackedBatch,
+def solve_batch(items: Sequence[MinEnergyProblem | WireInstance] | PackedBatch,
                 *, method: str | None = None, exact: bool | None = None,
                 options: dict[str, Any] | None = None,
                 keep_speeds: bool = False,
@@ -712,14 +633,14 @@ def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec] | PackedBatch,
     """Solve a batch of instances, vectorizing every eligible one.
 
     ``items`` is a :class:`PackedBatch`, or a sequence mixing
-    :class:`MinEnergyProblem` objects and :class:`InstanceSpec` entries,
-    whose small Continuous instances with automatic dispatch are packed
-    into one.  The packed instances go through the struct-of-arrays
-    solver; everything else (explicit methods/options, discrete models,
-    non-tree/SP shapes, capped instances the uncapped closed form would
-    violate, large graphs) takes the scalar path with
-    :func:`repro.batch.solve_many`-style per-instance error capture.
-    Results come back in input order.
+    :class:`MinEnergyProblem` objects and :class:`WireInstance` entries,
+    whose small Continuous instances with automatic dispatch a
+    :class:`BatchPacker` packs into one.  The packed instances go through
+    the struct-of-arrays solver; everything else (explicit
+    methods/options, discrete models, non-tree/SP shapes, capped instances
+    the uncapped closed form would violate, large graphs) takes the scalar
+    path with :func:`repro.batch.solve_many`-style per-instance error
+    capture.  Results come back in input order.
     """
     started = time.perf_counter()
     opts = dict(options or {})
@@ -727,18 +648,23 @@ def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec] | PackedBatch,
     if packed_input:
         batch, slots = items, list(range(len(items)))
     else:
-        specs: list[InstanceSpec] = []
+        packer = BatchPacker()
         slots = []
         if method in (None, "auto") and exact is None and not opts:
             for i, item in enumerate(items):
                 try:
-                    spec = _vector_spec(item)
-                except Exception:
+                    if isinstance(item, WireInstance):
+                        packed = packer.add(
+                            item.graph, deadline=item.deadline,
+                            s_max=item.s_max, alpha=item.alpha,
+                            name=item.name)
+                    else:
+                        packed = packer.add_problem(item)
+                except Exception:  # the scalar path reports it
                     continue
-                if spec is not None:
-                    specs.append(spec)
+                if packed:
                     slots.append(i)
-        batch = PackedBatch.from_specs(specs)
+        batch = packer.build()
 
     rows: list[BatchResult | None] = [None] * len(items)
     if len(batch):
@@ -776,12 +702,15 @@ def solve_batch(items: Sequence[MinEnergyProblem | InstanceSpec] | PackedBatch,
                 problem = batch.problem(i)
             else:
                 item = items[i]
-                problem = (item.materialise()
-                           if isinstance(item, InstanceSpec) else item)
+                problem = (_graph_dict_problem(
+                    item.graph, deadline=item.deadline, alpha=item.alpha,
+                    s_max=item.s_max, name=item.name)
+                    if isinstance(item, WireInstance) else item)
         except Exception as exc:
             name, n_tasks = ((batch.names[i], batch.n_tasks(i))
                              if packed_input else
-                             (items[i].display_name, items[i].n_tasks))
+                             (_row_name(item.graph, item.deadline, item.name),
+                              item.n_tasks))
             rows[i] = BatchResult.failure(i, name, n_tasks,
                                           type(exc).__name__, str(exc))
             continue

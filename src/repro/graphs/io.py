@@ -38,6 +38,10 @@ def graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
     if "tasks" not in data:
         raise InvalidGraphError("graph dictionary is missing the 'tasks' key")
     tasks = data["tasks"]
+    if not isinstance(tasks, Mapping):
+        raise InvalidGraphError(
+            f"graph 'tasks' must map task names to works, got "
+            f"{type(tasks).__name__}")
     names = [str(name) for name in tasks]
     src, dst = edge_ids(data, {name: i for i, name in enumerate(names)})
     return TaskGraph.from_arrays(names, list(tasks.values()), src, dst,

@@ -405,7 +405,7 @@ class TaskGraph:
             works_arr = np.array(works, dtype=np.float64)
             src_arr = np.array(src, dtype=np.int64)
             dst_arr = np.array(dst, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGraphError(f"graph arrays must be numeric: {exc}") from exc
         if works_arr.shape != (n,):
             raise InvalidGraphError(

@@ -5,12 +5,15 @@ A :class:`MicroBatcher` sits between concurrent single-solve submitters
 struct-of-arrays batch solver.  Submissions land in a queue; a single tick
 thread sleeps only while the queue is empty.  Once woken it drains up to
 ``max_batch`` submissions at once and executes *one* vectorized
-:func:`repro.batch.vectorized.solve_batch` call for the whole tick;
-whatever arrives while a tick executes rides the next one.  The batcher is
-work-conserving: a lone request never waits for company, and under load
-N concurrent submitters still cost a handful of batch ticks instead of N
-scalar solve pipelines — the occupancy histogram in :meth:`stats` is the
-direct measurement.
+:func:`repro.batch.vectorized.solve_batch` call for the whole tick, which
+packs each submission (a problem, or the
+:class:`~repro.batch.vectorized.WireInstance` of a ``/v1/solve``) with the
+:class:`~repro.batch.vectorized.BatchPacker` that ``/v1/solve_batch``
+decodes into; whatever arrives while a tick executes rides the next one.
+The batcher is work-conserving: a lone request never waits for company,
+and under load N concurrent submitters still cost a handful of batch
+ticks instead of N scalar solve pipelines — the occupancy histogram in
+:meth:`stats` is the direct measurement.
 
 Submissions with different solver parameters may share a tick; the drain
 groups them by :func:`~repro.batch.vectorized.batch_key` (the key
@@ -26,7 +29,7 @@ from concurrent.futures import Future
 from typing import Any, Sequence
 
 from repro.batch.engine import BatchResult
-from repro.batch.vectorized import InstanceSpec, batch_key, solve_batch
+from repro.batch.vectorized import WireInstance, batch_key, solve_batch
 from repro.core.problem import MinEnergyProblem
 from repro.reliability import failpoints
 from repro.reliability.policy import Deadline
@@ -67,13 +70,15 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def submit(self, item: "MinEnergyProblem | InstanceSpec", *,
+    def submit(self, item: "MinEnergyProblem | WireInstance", *,
                method: str | None = None, exact: bool | None = None,
                options: dict[str, Any] | None = None,
                keep_speeds: bool = False,
                validate: bool = False,
                deadline: "Deadline | None" = None) -> "Future[BatchResult]":
-        """Queue one instance; the future resolves to its ``BatchResult``.
+        """Queue one problem or
+        :class:`~repro.batch.vectorized.WireInstance`; the future resolves
+        to its ``BatchResult``.
 
         The submission rides the next tick: at once if the tick thread is
         idle, else as soon as the tick in progress finishes.  The future
@@ -104,7 +109,7 @@ class MicroBatcher:
             self._cond.notify()
         return future
 
-    def solve(self, item: "MinEnergyProblem | InstanceSpec", *,
+    def solve(self, item: "MinEnergyProblem | WireInstance", *,
               method: str | None = None, exact: bool | None = None,
               options: dict[str, Any] | None = None,
               keep_speeds: bool = False, validate: bool = False,

@@ -31,7 +31,7 @@ from repro.batch.engine import BatchResult, _preresolve, fan_out, work_items
 from repro.batch.shard import ShardSpec
 from repro.batch.sweep import plan_sweep, sweep_table
 from repro.batch.vectorized import (
-    VECTORIZE_MAX_TASKS, InstanceSpec, PackedBatch, solve_batch)
+    VECTORIZE_MAX_TASKS, PackedBatch, WireInstance, solve_batch)
 from repro.core.problem import MinEnergyProblem
 from repro.service.batcher import DEFAULT_MAX_BATCH, MicroBatcher
 from repro.service.jobs import JobHandle, JobStatus
@@ -195,7 +195,7 @@ class SolverService:
                 self._batcher = MicroBatcher(max_batch=self._batch_max)
             return self._batcher
 
-    def solve(self, item: "MinEnergyProblem | InstanceSpec", *,
+    def solve(self, item: "MinEnergyProblem | WireInstance", *,
               method: str | None = None, exact: bool | None = None,
               options: dict[str, Any] | None = None,
               keep_speeds: bool = False, validate: bool = False,
@@ -203,7 +203,10 @@ class SolverService:
               deadline: "Deadline | None" = None) -> BatchResult:
         """Solve one instance synchronously, coalescing with concurrent calls.
 
-        Small instances queue on the micro-batcher and ride its next
+        ``item`` is a problem or the
+        :class:`~repro.batch.vectorized.WireInstance` of a request
+        (:meth:`repro.api.protocol.SolveRequest.to_instance`).  Small
+        instances queue on the micro-batcher and ride its next
         vectorized tick together with whatever else is queued by then
         (at once when it is idle); large ones solve immediately in the
         calling thread — no job record, no cache, no pool hop either way.
@@ -228,7 +231,7 @@ class SolverService:
             deadline=deadline)
 
     def solve_many_now(
-            self, items: PackedBatch | Sequence[MinEnergyProblem | InstanceSpec],
+            self, items: PackedBatch | Sequence[MinEnergyProblem | WireInstance],
             *, method: str | None = None, exact: bool | None = None,
             options: dict[str, Any] | None = None, keep_speeds: bool = False,
             validate: bool = False) -> list[BatchResult]:
@@ -236,8 +239,8 @@ class SolverService:
 
         The transport-level twin of :func:`repro.batch.solve_many` for
         callers that already hold all their instances — problems and
-        specs, or a :class:`~repro.batch.vectorized.PackedBatch` decoded
-        straight from the wire: executes immediately in the calling
+        wire instances, or a :class:`~repro.batch.vectorized.PackedBatch`
+        decoded straight from the wire: executes immediately in the calling
         thread and records one occupancy-``len(items)`` tick in
         :meth:`batch_stats`.
         """

@@ -476,6 +476,9 @@ class TestSerialisation:
         ({"tasks": {"": 1.0}}, "task name must be a non-empty string, got ''"),
         ({"name": "g", "tasks": {"A": 1, "B": 2}, "edges": [["A", "B"], ["B", "A"]]},
          "graph 'g' contains a cycle (2 tasks unreachable in topological sort)"),
+        ({"tasks": ["A"]}, "graph 'tasks' must map task names to works, got list"),
+        ({"tasks": {"A": 10 ** 400}},
+         "graph arrays must be numeric: int too large to convert to float"),
     ])
     def test_from_dict_typed_errors(self, data, message):
         with pytest.raises(InvalidGraphError) as excinfo:

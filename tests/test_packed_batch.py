@@ -5,8 +5,8 @@ kind of malformed row) answers each row exactly as the same payload solved
 alone through ``execute_solve``, in process and over HTTP; a row does not
 depend on which instances share its batch or where it sits (hypothesis);
 an instance without tasks is one failure row on both the batch route and a
-shared micro-batcher tick, never a failed batch; and the packers keep the
-vector core's input free of per-instance objects.
+shared micro-batcher tick, never a failed batch; and one packer fills the
+vector core's input for both routes, without per-instance objects.
 """
 
 from __future__ import annotations
@@ -28,15 +28,9 @@ from repro.api import (
     decode_rows,
 )
 from repro.api.client import execute_solve, execute_solve_batch
-from repro.batch import (
-    BatchPacker,
-    PackedBatch,
-    solve_batch,
-    spec_from_graph_dict,
-    spec_from_problem,
-)
+from repro.batch import BatchPacker, WireInstance, solve_batch
 from repro.batch.vectorized import SP_BATCH_SOLVER, TREE_BATCH_SOLVER
-from repro.core.models import ContinuousModel
+from repro.core.models import ContinuousModel, DiscreteModel
 from repro.core.problem import MinEnergyProblem
 from repro.graphs import generators
 from repro.graphs.analysis import longest_path_length
@@ -47,6 +41,9 @@ from repro.utils.errors import ReproError
 
 #: Relative tolerance of float fields between a batch row and its solo row.
 RTOL = 1e-12
+
+#: A work too large for a float, decoded from JSON text (so an ``int``).
+HUGE_WORK = json.loads("1" + "0" * 400)
 
 
 def payload(graph, *, slack=1.5, s_max=None, alpha=3.0, name="", **fields):
@@ -108,6 +105,11 @@ def mixed_body() -> list:
         graph_payload({"a": "abc", "b": 2.0}, [["a", "b"]],
                       name="non-numeric"),
         graph_payload({"a": -1.0, "b": 2.0}, [["a", "b"]], name="negative"),
+        graph_payload({"a": HUGE_WORK, "b": 2.0}, [["a", "b"]],
+                      name="huge-work"),
+        graph_payload({"a": HUGE_WORK, "b": 2.0}, [["a", "b"]],
+                      model="discrete", modes=[0.5, 1.0], s_max=1.0,
+                      name="huge-work-discrete"),
         graph_payload({"a": 1.0, "b": 2.0}, [["a", "b"], ["b", "a"]],
                       name="cycle"),
         graph_payload({}, [], name="empty"),
@@ -191,21 +193,16 @@ class TestMixedBodyParity:
             "bad-endpoint": "InvalidGraphError",
             "non-numeric": "InvalidGraphError",
             "negative": "InvalidGraphError",
+            "huge-work": "InvalidGraphError",
+            "huge-work-discrete": "InvalidGraphError",
             "cycle": "InvalidGraphError",
             "empty": "InvalidGraphError",
             "bad-deadline": "TransportError",
             "three-endpoints": "InvalidGraphError",
         }
 
-    @pytest.mark.parametrize("tasks, edges", [
-        ({"a": 1.0, "b": 2.0}, [["a", "b", "c"]]),
-        ({"1": 1.0, "2": 2.0}, [[1, 2]]),
-        ({1: 1.0, 2: 2.0}, [[1, 2]]),  # in process, names as str()
-        ({"a": 1.0, "b": 2.0}, [["a", "missing"]]),
-        ({"a": 1.0}, 5),
-    ])
-    def test_edges_read_the_same_on_every_route(self, service, tasks,
-                                                edges):
+    @staticmethod
+    def assert_routes_agree(service, tasks, edges):
         wire = graph_payload(tasks, edges)
         default = solo_row(service, wire, False)
         named = solo_row(service, wire | {"method": "tree"}, False)
@@ -218,6 +215,24 @@ class TestMixedBodyParity:
                 assert getattr(default, attr) == getattr(other, attr), attr
         if default.ok:
             assert default.energy == pytest.approx(named.energy, rel=1e-9)
+
+    @pytest.mark.parametrize("tasks, edges", [
+        ({"a": 1.0, "b": 2.0}, [["a", "b", "c"]]),
+        ({"1": 1.0, "2": 2.0}, [[1, 2]]),
+        ({1: 1.0, 2: 2.0}, [[1, 2]]),  # in process, names as str()
+        ({"a": 1.0, "b": 2.0}, [["a", "missing"]]),
+        ({"a": 1.0}, 5),
+    ])
+    def test_edges_read_the_same_on_every_route(self, service, tasks,
+                                                edges):
+        self.assert_routes_agree(service, tasks, edges)
+
+    @pytest.mark.parametrize("tasks", [
+        {"a": "abc", "b": 2.0},
+        {"a": HUGE_WORK, "b": 2.0},
+    ])
+    def test_works_read_the_same_on_every_route(self, service, tasks):
+        self.assert_routes_agree(service, tasks, [["a", "b"]])
 
     @pytest.mark.parametrize("keep_speeds", [False, True])
     def test_http_rows_match_solo_solves(self, tmp_path, service,
@@ -344,10 +359,10 @@ class TestEmptyInstances:
         assert empty_row.error_type == "InvalidGraphError"
 
     def test_library_batch_with_an_empty_spec_last(self):
-        spec = spec_from_graph_dict({"tasks": {}}, deadline=1.0)
+        empty_wire = WireInstance({"tasks": {}}, deadline=1.0)
         problem = MinEnergyProblem(graph=generators.chain(3), deadline=9.0,
                                    model=ContinuousModel())
-        good, empty = solve_batch([problem, spec])
+        good, empty = solve_batch([problem, empty_wire])
         assert good.ok and good.metadata["vectorized"]
         assert not empty.ok and empty.error_type == "InvalidGraphError"
 
@@ -363,18 +378,42 @@ class TestPackers:
         for wire in wires:
             assert SolveRequest.from_wire(wire, pack=packer) is None
         packed = packer.build()
-        specs = PackedBatch.from_specs([
-            spec_from_graph_dict(w["graph"], deadline=w["deadline"],
-                                 s_max=math.inf, name=w["name"])
-            for w in wires])
+        problem_packer = BatchPacker()
+        for graph, wire in zip(graphs, wires):
+            assert problem_packer.add_problem(MinEnergyProblem(
+                graph=graph, deadline=wire["deadline"],
+                model=ContinuousModel(s_max=math.inf), name=wire["name"]))
+        problems = problem_packer.build()
         for field in ("works", "task_off", "edge_src", "edge_dst",
                       "edge_off", "deadline", "s_max", "alpha"):
             np.testing.assert_array_equal(getattr(packed, field),
-                                          getattr(specs, field))
-        assert packed.names == specs.names == ["t0", "t1", "t2", "t3"]
+                                          getattr(problems, field))
+        assert packed.names == problems.names == ["t0", "t1", "t2", "t3"]
         # the wire packer keeps the payload graphs, not per-instance objects
         assert all(source is wire["graph"]
                    for source, wire in zip(packed.sources, wires))
+
+    def test_a_single_solve_goes_through_the_packer(self, tmp_path,
+                                                    monkeypatch):
+        added = []
+        add = BatchPacker.add
+
+        def counting(self, graph, **kwargs):
+            added.append(graph)
+            return add(self, graph, **kwargs)
+
+        monkeypatch.setattr(BatchPacker, "add", counting)
+        wire = _tree_wire()
+        transport = DiskTransport(tmp_path / "jobs", use_threads=True)
+        with SolverHTTPServer(transport).start() as server:
+            request = urllib.request.Request(
+                f"{server.url}/v1/solve", method="POST",
+                data=json.dumps(wire).encode(),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=60) as response:
+                row = SolveResponse.from_wire(json.loads(response.read()))
+        assert row.ok and row.solver == TREE_BATCH_SOLVER
+        assert added == [wire["graph"]]
 
     @pytest.mark.parametrize("change", [
         {"method": "tree"}, {"exact": True}, {"options": {"tolerance": 1.0}},
@@ -409,9 +448,9 @@ class TestPackers:
     def test_a_cap_the_model_refuses_is_a_typed_row(self, cap):
         # the scalar model refuses these caps; the vector core used to
         # solve straight past a NaN one
-        spec = spec_from_graph_dict(graph_to_dict(generators.chain(3)),
-                                    deadline=9.0, s_max=cap)
-        (row,) = solve_batch([spec])
+        wire = WireInstance(graph_to_dict(generators.chain(3)), deadline=9.0,
+                            s_max=cap)
+        (row,) = solve_batch([wire])
         assert not row.ok and row.error_type == "InvalidModelError"
 
     def test_default_names_match_the_scalar_path(self):
@@ -424,15 +463,23 @@ class TestPackers:
         scalar = SolveRequest.from_wire(wire).build_problem()
         assert packer.build().names == [scalar.name]
         assert scalar.name == "MinEnergy(taskgraph, D=7)"
-        spec = spec_from_graph_dict(graph, deadline=7.0)
-        assert spec.display_name == scalar.name
+        (row,) = solve_batch([SolveRequest.from_wire(wire).to_instance()])
+        assert row.name == scalar.name
 
     def test_specs_of_problems_pack_in_order(self):
         problems = [MinEnergyProblem(graph=generators.chain(n), deadline=9.0,
                                      model=ContinuousModel())
                     for n in (3, 1, 4)]
-        packed = PackedBatch.from_specs([spec_from_problem(p)
-                                         for p in problems])
+        packer = BatchPacker()
+        assert all(packer.add_problem(p) for p in problems)
+        # neither a non-Continuous nor a too large problem is appended
+        assert not packer.add_problem(MinEnergyProblem(
+            graph=generators.chain(3), deadline=9.0,
+            model=DiscreteModel(modes=(0.5, 1.0))))
+        assert not packer.add_problem(MinEnergyProblem(
+            graph=generators.chain(300), deadline=900.0,
+            model=ContinuousModel()))
+        packed = packer.build()
         assert packed.task_off.tolist() == [0, 3, 4, 8]
         assert packed.edge_off.tolist() == [0, 2, 2, 5]
         assert packed.edge_src.tolist() == [0, 1, 4, 5, 6]

@@ -16,11 +16,10 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED
 
-import numpy as np
 import pytest
 
 import repro.batch.engine as engine
-from repro.batch import InstanceSpec, failed, solve_batch, solve_many, summarize
+from repro.batch import WireInstance, failed, solve_batch, solve_many, summarize
 from repro.cache import memory_cache
 from repro.core.models import ContinuousModel, DiscreteModel
 from repro.core.problem import MinEnergyProblem
@@ -310,12 +309,10 @@ def _cancelled_job_future(monkeypatch):
 
 
 def _unmaterialisable_spec(monkeypatch):
-    # no problem and no graph data, so the scalar path cannot build one
-    spec = InstanceSpec(works=np.ones(3), task_names=("a", "b", "c"),
-                        edges_src=np.array([0, 1]),
-                        edges_dst=np.array([1, 2]), deadline=6.0,
-                        name="unbuildable")
-    return solve_batch([spec], method="convex")[0], "InvalidGraphError", None
+    # a graph dict without tasks, so the scalar path cannot build a problem
+    wire = WireInstance({"name": "g", "edges": [["a", "b"], ["b", "c"]]},
+                        deadline=6.0, name="unbuildable")
+    return solve_batch([wire], method="convex")[0], "InvalidGraphError", None
 
 
 @pytest.mark.parametrize("site", [_serial_capture, _serial_interrupt,

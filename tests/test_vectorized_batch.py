@@ -35,7 +35,7 @@ from repro.api import (
     encode_rows,
 )
 from repro.api.client import execute_solve
-from repro.batch import solve_batch, spec_from_graph_dict, spec_from_problem
+from repro.batch import BatchPacker, WireInstance, solve_batch
 from repro.cli import main
 from repro.core.models import ContinuousModel, DiscreteModel
 from repro.core.power import CUBIC, PowerLaw
@@ -109,10 +109,9 @@ class TestVectorizedVsScalar:
     def test_uncapped_model_and_wire_specs(self):
         graph = generators.random_tree(16, seed=5)
         problem = make_problem(graph, s_max=float("inf"), slack=1.0)
-        spec = spec_from_graph_dict(graph_to_dict(graph),
-                                    deadline=problem.deadline, alpha=3.0,
-                                    s_max=float("inf"), name="wire")
-        rows = solve_batch([problem, spec], keep_speeds=True)
+        wire = WireInstance(graph_to_dict(graph), deadline=problem.deadline,
+                            s_max=float("inf"), alpha=3.0, name="wire")
+        rows = solve_batch([problem, wire], keep_speeds=True)
         reference = scalar_solve(problem)
         for row in rows:
             assert row.ok and row.metadata.get("vectorized")
@@ -154,17 +153,26 @@ class TestVectorizedVsScalar:
         assert row.ok and row.makespan == pytest.approx(problem.deadline)
 
     def test_malformed_graph_dict_is_rejected(self):
-        with pytest.raises(InvalidGraphError):
-            spec_from_graph_dict({"tasks": {"a": 1.0},
-                                  "edges": [["a", "missing"]]},
-                                 deadline=1.0, alpha=3.0,
-                                 s_max=1.0, name="bad")
+        wire = WireInstance({"tasks": {"a": 1.0},
+                             "edges": [["a", "missing"]]},
+                            deadline=1.0, s_max=1.0, alpha=3.0, name="bad")
+        assert not BatchPacker().add(wire.graph, deadline=wire.deadline,
+                                     s_max=wire.s_max, alpha=wire.alpha,
+                                     name=wire.name)
+        (row,) = solve_batch([wire])
+        assert not row.ok and row.name == "bad"
+        assert row.error_type == InvalidGraphError.__name__
+        assert row.error == "unknown target task 'missing'"
 
     def test_spec_from_problem_round_trips_the_name(self):
+        # a problem packed by add_problem keeps its name and identity
         problem = make_problem(generators.random_tree(6, seed=9))
-        spec = spec_from_problem(problem)
-        assert spec.n_tasks == 6
-        assert spec.display_name == problem.name
+        packer = BatchPacker()
+        assert packer.add_problem(problem)
+        packed = packer.build()
+        assert packed.n_tasks(0) == 6
+        assert packed.names == [problem.name]
+        assert packed.problem(0) is problem
 
 
 class TestMicroBatcherCoalescing:
