@@ -150,8 +150,7 @@ def execute_solve(service: "SolverService", request: SolveRequest, *,
         item = request.to_instance()
     except ReproError as exc:
         return SolveResponse.from_failure(
-            exc, name=request.name,
-            n_tasks=len(request.graph.get("tasks") or ()))
+            exc, name=request.name, n_tasks=request.n_tasks)
     result = service.solve(item, method=request.method, exact=request.exact,
                            options=request.options or None,
                            keep_speeds=request.keep_speeds,
@@ -200,7 +199,7 @@ def execute_solve_batch(service: "SolverService",
             item = request.to_instance()
         except ReproError as exc:
             rows[i] = BatchResult.failure(
-                i, request.name, len(request.graph.get("tasks") or ()),
+                i, request.name, request.n_tasks,
                 type(exc).__name__, str(exc))
             continue
         key = batch_key(request.method, request.exact, request.options,

@@ -304,6 +304,13 @@ class SolveRequest:
             raise InvalidOptionError(
                 "a solve request needs exactly one of deadline= and slack=")
 
+    @property
+    def n_tasks(self) -> int:
+        """Tasks in the graph payload; 0 when it is not a graph dictionary."""
+        from repro.graphs.io import task_count
+
+        return task_count(self.graph)
+
     # -- construction ------------------------------------------------- #
     @classmethod
     def from_problem(cls, problem: "MinEnergyProblem", *,
@@ -391,12 +398,15 @@ class SolveRequest:
         :class:`~repro.batch.vectorized.WireInstance`: its graph dict and
         scalars, which the batch solver packs as ``/v1/solve_batch``
         packs a row (no ``TaskGraph`` on the fast path); everything else
-        materialises the problem object.
+        materialises the problem object.  A graph that is not a graph
+        dictionary raises :class:`InvalidGraphError` on either route.
         """
         if self.model == "continuous" and self.deadline is not None \
                 and not self.options:
             from repro.batch.vectorized import WireInstance
+            from repro.graphs.io import graph_tasks
 
+            graph_tasks(self.graph)
             return WireInstance(
                 self.graph, float(self.deadline),
                 None if self.s_max is None else float(self.s_max),

@@ -31,8 +31,9 @@ other instances share its batch.
 
 Unified computation forest
 --------------------------
-Every vectorizable instance lowers to a forest of *combine nodes* carrying a
-work amount and a child list.  Two combine kinds cover all shapes:
+Every vectorizable instance lowers to a forest of *combine nodes*, each
+carrying a work amount and the id of its one parent (-1 at a root).  Two
+combine kinds cover all shapes:
 
 - **P-combine** (``load = work + (sum load_c ** alpha) ** (1/alpha)``):
   tree nodes (Theorem 2's out/in-tree recursion, fork/join/chain/single are
@@ -40,12 +41,17 @@ work amount and a child list.  Two combine kinds cover all shapes:
 - **S-combine** (``load = work + sum load_c``): SP series compositions
   (``work = 0``).
 
-The kind collapses into per-node exponent arrays (``1/alpha`` vs ``1``), so
-the two passes run branch-free over the whole batch.  The top-down pass
-splits each node's window among its children (Theorem 2's proportional
-rule), and every task's optimal speed is ``load / window`` — exactly the
-scalar solvers' numbers modulo floating-point reassociation (equal well
-within 1e-9).
+A tree task's parent comes from its one edge towards the root (one scatter
+over the batch's edges); an SP plan records its nodes' parents as it walks
+the decomposition.  Pointer jumping gives every node its depth, and the
+nodes are sorted by depth once.  The kind collapses into per-node exponent
+arrays (``1/alpha`` vs ``1``), so the two passes run branch-free over the
+whole batch: bottom-up, each level folds its loads into its parents with
+one ``bincount``; top-down, each level gathers its share of its parent's
+window (Theorem 2's proportional rule).  Siblings fold in task order, so
+the order of an edge list does not change a result.  Every task's optimal
+speed is ``load / window``: the scalar solvers' numbers up to
+floating-point reassociation (the tests hold them to 1e-9).
 
 Instances the vector core cannot express — non-tree/non-SP DAGs, discrete
 models, instances whose uncapped speeds violate a finite ``s_max`` (the
@@ -68,7 +74,8 @@ from repro.batch.engine import BatchResult, _WorkItem, _solve_one
 from repro.core.models import ContinuousModel
 from repro.core.power import CUBIC, PowerLaw
 from repro.core.problem import MinEnergyProblem, default_problem_name
-from repro.graphs.io import edge_ids, graph_dict_name, graph_from_dict
+from repro.graphs.io import (
+    edge_ids, graph_dict_name, graph_from_dict, task_count)
 from repro.graphs.sp_decomposition import SPLeaf, SPParallel, sp_decompose
 from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError, NotSeriesParallelError
@@ -105,7 +112,7 @@ class WireInstance(NamedTuple):
 
     @property
     def n_tasks(self) -> int:
-        return len(self.graph.get("tasks") or ())
+        return task_count(self.graph)
 
 
 def _graph_dict_problem(data: Mapping[str, Any], *, deadline: float,
@@ -271,9 +278,7 @@ class _Plan:
 
     works: np.ndarray          # per combine node
     is_p: np.ndarray           # bool: P-combine (alpha-norm) vs S-combine
-    level: np.ndarray          # depth from the root of the combine tree
-    child_ptr: np.ndarray      # CSR over local node ids
-    child_idx: np.ndarray
+    parent: np.ndarray         # local id of each node's parent, -1 at the root
     task_node: np.ndarray      # local node id of each task, in task order
 
 
@@ -290,46 +295,29 @@ def _sp_plan(graph: TaskGraph) -> _Plan:
     index_of = graph.index().index_of
     works: list[float] = []
     is_p: list[bool] = []
-    level: list[int] = [0]
-    children: list[list[int]] = []
+    parent: list[int] = [-1]
     task_node = np.empty(graph.n_tasks, dtype=np.int64)
 
-    # breadth-first walk; ids are queue positions, so they come out grouped
-    # by depth and node 0 is the combine root
+    # breadth-first walk; ids are queue positions, so node 0 is the combine
+    # root and the children of a node get consecutive ids, in child order
     queue: list[Any] = [root]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        my_id = head
-        head += 1
+    for my_id, node in enumerate(queue):
         if isinstance(node, SPLeaf):
             works.append(node.work)
             is_p.append(True)
-            children.append([])
             task_node[index_of[node.task]] = my_id
             continue
         works.append(0.0)
         is_p.append(isinstance(node, SPParallel))
         if not node.children:  # pragma: no cover - decomposition invariant
             raise NotSeriesParallelError("empty composition in decomposition")
-        kid_ids = []
-        for child in node.children:
-            kid_ids.append(len(queue))
-            queue.append(child)
-            level.append(level[my_id] + 1)
-        children.append(kid_ids)
+        queue.extend(node.children)
+        parent.extend([my_id] * len(node.children))
 
-    counts = np.fromiter((len(c) for c in children), dtype=np.int64,
-                         count=len(children))
-    ptr = np.zeros(len(children) + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    flat = np.fromiter((c for kids in children for c in kids),
-                       dtype=np.int64, count=int(ptr[-1]))
-    return _Plan(
-        works=np.asarray(works, dtype=np.float64),
-        is_p=np.asarray(is_p, dtype=bool),
-        level=np.asarray(level, dtype=np.int64),
-        child_ptr=ptr, child_idx=flat, task_node=task_node)
+    return _Plan(works=np.asarray(works, dtype=np.float64),
+                 is_p=np.asarray(is_p, dtype=bool),
+                 parent=np.asarray(parent, dtype=np.int64),
+                 task_node=task_node)
 
 
 # --------------------------------------------------------------------------- #
@@ -360,8 +348,8 @@ def _tree_orientation_masks(n: np.ndarray, m: np.ndarray,
 
     Mirrors ``repro.continuous.tree._tree_orientation``: out-trees win when
     both orientations hold (single task / chain).  Acyclicity and
-    connectivity are *not* decided here — the global BFS checks them by
-    counting reached nodes.
+    connectivity are *not* decided here — the pointer jumping of
+    :func:`_depths` finds the parent cycles of a fake tree.
     """
     tree_count = m == np.maximum(n - 1, 0)
     out = tree_count & (indeg_over == 0) & (indeg0 == 1)
@@ -369,15 +357,25 @@ def _tree_orientation_masks(n: np.ndarray, m: np.ndarray,
     return out, inn & ~out
 
 
-def _csr_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat source indices for gathering CSR rows ``[s, s+c)`` back to back."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_ptr = np.zeros(counts.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=out_ptr[1:])
-    return (np.repeat(starts - out_ptr, counts)
-            + np.arange(total, dtype=np.int64))
+def _depths(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depth of every node under ``parent`` (-1 at a root), by pointer
+    jumping, and the mask of nodes that never reach a root.
+
+    Each jump doubles the distance to the ancestor a node points at, so a
+    node of an acyclic forest reaches its root within ``size.bit_length()``
+    jumps; one still short of a root after that sits on (or under) a
+    parent cycle.
+    """
+    size = parent.shape[0]
+    at_root = parent < 0
+    anc = np.where(at_root, np.arange(size, dtype=np.int64), parent)
+    depth = (~at_root).astype(np.int64)
+    for _ in range(size.bit_length()):
+        if at_root[anc].all():
+            break
+        depth += depth[anc]
+        anc = anc[anc]
+    return depth, ~at_root[anc]
 
 
 def _solve_vectorized(batch: PackedBatch) -> _Solved:
@@ -434,144 +432,94 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
         return _nothing_solved(B)
 
     # ------------------------------------------------------------------ #
-    # tree chunk: child CSR + roots, fully vectorized over the batch
+    # one node universe: the batch's tasks, then every SP plan's nodes,
+    # each with one parent (-1 at a root).  A tree task's parent is the
+    # other end of its one edge towards the root: the source of an
+    # out-tree edge, the target of an in-tree edge.  Every other task is
+    # a childless root, and its outputs are not read.
     # ------------------------------------------------------------------ #
-    # per-edge orientation: out-tree edges parent=src, in-tree parent=dst
-    tree_node = np.repeat(is_tree_inst, n_inst)
-    edge_inst = np.repeat(np.arange(B, dtype=np.int64), m_inst)
-    tree_edge = is_tree_inst[edge_inst]
-    out_edge = is_out[edge_inst] & tree_edge
-    parent = np.where(out_edge, src_all, dst_all)[tree_edge]
-    child = np.where(out_edge, dst_all, src_all)[tree_edge]
+    edge_inst = inst_of_node[src_all]
+    out_edge, in_edge = is_out[edge_inst], is_in[edge_inst]
+    parent = np.full(N, -1, dtype=np.int64)
+    parent[dst_all[out_edge]] = src_all[out_edge]
+    parent[src_all[in_edge]] = dst_all[in_edge]
 
-    t_counts = np.bincount(parent, minlength=N)
-    t_ptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(t_counts, out=t_ptr[1:])
-    t_child = child[np.argsort(parent, kind="stable")]
-
-    roots_mask = (((indeg == 0) & is_out[inst_of_node])
-                  | ((outdeg == 0) & is_in[inst_of_node])) & tree_node
-    roots = np.flatnonzero(roots_mask)  # one per tree instance, id order
-
-    # simultaneous BFS from every root: depths + reachability check
-    depth = np.full(N, -1, dtype=np.int64)
-    depth[roots] = 0
-    frontier = roots
-    d = 0
-    while frontier.size:
-        gather = _csr_gather(t_ptr[frontier], t_counts[frontier])
-        if gather.size == 0:
-            break
-        children = t_child[gather]
-        d += 1
-        depth[children] = d
-        frontier = children
-
-    unreached = (depth < 0) & tree_node
-    if unreached.any():
-        # fake trees (degree stats matched but a parent cycle hides nodes):
-        # kick the whole instance to the scalar path, clamp depths so the
-        # packed passes stay well-formed (their outputs are discarded)
-        bad = np.unique(inst_of_node[unreached])
-        is_out[bad] = False
-        is_in[bad] = False
-        is_tree_inst[bad] = False
-        if not is_tree_inst.any() and not sp_plans:
-            return _nothing_solved(B)
-    np.maximum(depth, 0, out=depth)
-    tree_roots = roots[is_tree_inst[inst_of_node[roots]]]
-
-    # ------------------------------------------------------------------ #
-    # merge tree chunk + SP plans into one node universe
-    # ------------------------------------------------------------------ #
     sp_inst = np.array([i for i, _p in sp_plans], dtype=np.int64)
     plans = [p for _i, p in sp_plans]
     sp_off = np.zeros(len(plans) + 1, dtype=np.int64)
     np.cumsum([p.works.shape[0] for p in plans], out=sp_off[1:])
-    total_nodes = N + int(sp_off[-1])
-
+    sp_off += N
     g_works = np.concatenate([works_all] + [p.works for p in plans])
     g_is_p = np.concatenate([np.ones(N, dtype=bool)]
                             + [p.is_p for p in plans])
-    g_level = np.concatenate([depth] + [p.level for p in plans])
+    g_parent = np.concatenate(
+        [parent] + [np.where(p.parent < 0, -1, p.parent + sp_off[j])
+                    for j, p in enumerate(plans)])
     g_inst = np.concatenate(
         [inst_of_node] + [np.full(p.works.shape[0], i, dtype=np.int64)
                           for i, p in sp_plans])
-    g_counts = np.concatenate([t_counts]
-                              + [np.diff(p.child_ptr) for p in plans])
-    g_child = np.concatenate(
-        [t_child] + [p.child_idx + N + sp_off[j]
-                     for j, p in enumerate(plans)])
-    g_alpha = alphas[g_inst]
 
-    # roots of the merged universe (each plan's node 0 is its combine root)
-    root_nodes = np.concatenate([tree_roots, N + sp_off[:-1]])
+    depth, stuck = _depths(g_parent)
+    if stuck.any():
+        # fake trees (degree stats matched but a parent cycle hides nodes):
+        # the whole instance goes to the scalar path, and its tasks become
+        # childless roots so the level passes stay well-formed
+        bad = np.zeros(B, dtype=bool)
+        bad[g_inst[stuck]] = True
+        is_tree_inst &= ~bad
+        if not is_tree_inst.any() and not sp_plans:
+            return _nothing_solved(B)
+        reset = bad[g_inst]
+        g_parent[reset] = -1
+        depth[reset] = 0
 
-    # level-sort all nodes (stable keeps instance-major order within levels)
-    order = np.argsort(g_level, kind="stable")
+    # level-sort every node (stable keeps instance-major id order within a
+    # level, so siblings sum in task order, not in edge-list order)
+    order = np.argsort(depth, kind="stable")
+    total_nodes = order.shape[0]
     pos = np.empty(total_nodes, dtype=np.int64)
     pos[order] = np.arange(total_nodes, dtype=np.int64)
-
+    inst_s = g_inst[order]
     work_s = g_works[order]
     is_p_s = g_is_p[order]
-    alpha_s = g_alpha[order]
-    counts_s = g_counts[order]
-    lev_s = g_level[order]
-    ptr_s = np.zeros(total_nodes + 1, dtype=np.int64)
-    np.cumsum(counts_s, out=ptr_s[1:])
-    #: sorted position of each child slot's parent (segment ids)
-    slot_parent = np.repeat(np.arange(total_nodes, dtype=np.int64), counts_s)
-
-    # children gathered into the sorted CSR, remapped to sorted positions
-    g_ptr = np.zeros(total_nodes + 1, dtype=np.int64)
-    np.cumsum(g_counts, out=g_ptr[1:])
-    child_s = pos[g_child[_csr_gather(g_ptr[order], counts_s)]]
-
-    # per-child combine exponent (parent kind folded into an array)
-    child_exp = np.repeat(np.where(is_p_s, alpha_s, 1.0), counts_s)
-    #: in the top-down split, S-combine children take a share proportional
-    #: to their own load; P-combine children all get the full remainder
-    child_takes_load = np.repeat(~is_p_s, counts_s)
+    alpha_s = alphas[inst_s]
+    #: sorted position of each node's parent (a root's entry is never read)
+    up_s = pos[g_parent[order]]
+    #: the exponent a node's kind folds its children's loads with
+    fold_exp = np.where(is_p_s, alpha_s, 1.0)
     inv_exp = np.where(is_p_s, 1.0 / alpha_s, 1.0)
-
-    n_levels = int(lev_s[-1]) + 1
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lev_s, minlength=n_levels), out=level_ptr[1:])
+    #: level ``lvl`` holds sorted positions ``bounds[lvl]:bounds[lvl + 1]``
+    bounds = [0] + np.cumsum(np.bincount(depth)).tolist()
 
     # ------------------------------------------------------------------ #
-    # bottom-up equivalent loads (Theorem 2), one sweep per level
+    # bottom-up equivalent loads (Theorem 2): each level folds into its
+    # parents with one bincount
     # ------------------------------------------------------------------ #
     loads = work_s.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lvl in range(n_levels - 1, -1, -1):
-            p0, p1 = int(level_ptr[lvl]), int(level_ptr[lvl + 1])
-            c0, c1 = int(ptr_s[p0]), int(ptr_s[p1])
-            if c0 == c1:
-                continue
-            powered = loads[child_s[c0:c1]] ** child_exp[c0:c1]
-            seg = np.bincount(slot_parent[c0:c1] - p0, weights=powered,
-                              minlength=p1 - p0)
-            np.power(seg, inv_exp[p0:p1], out=seg)
-            loads[p0:p1] = work_s[p0:p1] + seg
+        for lvl in range(len(bounds) - 2, 0, -1):
+            p0, c0, c1 = bounds[lvl - 1:lvl + 2]
+            up = up_s[c0:c1]
+            seg = np.bincount(up - p0, weights=loads[c0:c1] ** fold_exp[up],
+                              minlength=c0 - p0)
+            np.power(seg, inv_exp[p0:c0], out=seg)
+            loads[p0:c0] = work_s[p0:c0] + seg
 
         # --------------------------------------------------------------- #
-        # top-down windows: root gets the deadline, children split it
+        # top-down windows: a root gets its deadline, and each level
+        # gathers its share from its parents: an S-combine's children a
+        # share proportional to their own load, a P-combine's children
+        # all the full remainder
         # --------------------------------------------------------------- #
-        win = np.zeros(total_nodes, dtype=np.float64)
-        win[pos[root_nodes]] = deadlines[g_inst[root_nodes]]
-        for lvl in range(n_levels - 1):
-            p0, p1 = int(level_ptr[lvl]), int(level_ptr[lvl + 1])
-            c0, c1 = int(ptr_s[p0]), int(ptr_s[p1])
-            if c0 == c1:
-                continue
-            seg_loads = loads[p0:p1]
-            factor = win[p0:p1] / seg_loads
-            factor = np.where(is_p_s[p0:p1],
-                              factor * (seg_loads - work_s[p0:p1]), factor)
-            rep = np.repeat(factor, counts_s[p0:p1])
-            kids = child_s[c0:c1]
-            win[kids] = rep * np.where(child_takes_load[c0:c1],
-                                       loads[kids], 1.0)
+        win = deadlines[inst_s]
+        for lvl in range(1, len(bounds) - 1):
+            p0, c0, c1 = bounds[lvl - 1:lvl + 2]
+            factor = win[p0:c0] / loads[p0:c0]
+            factor = np.where(is_p_s[p0:c0],
+                              factor * (loads[p0:c0] - work_s[p0:c0]), factor)
+            up = up_s[c0:c1]
+            win[c0:c1] = factor[up - p0] * np.where(is_p_s[up], 1.0,
+                                                    loads[c0:c1])
         speeds_nodes = loads / np.where(win > 0.0, win, np.nan)
 
     # ------------------------------------------------------------------ #
@@ -580,17 +528,18 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
     # ------------------------------------------------------------------ #
     # tree-chunk node ids are batch task ids; SP tasks sit in their plans
     task_pos = pos[:N].copy()
+    tree_roots = np.flatnonzero((g_parent[:N] < 0)
+                                & is_tree_inst[inst_of_node])
     root_pos = np.zeros(B, dtype=np.int64)
     root_pos[inst_of_node[tree_roots]] = pos[tree_roots]
     ok = is_tree_inst.copy()
     series_parallel = np.zeros(B, dtype=bool)
     if plans:
-        starts = batch.task_off[sp_inst]
-        task_pos[_csr_gather(starts, n_inst[sp_inst])] = pos[np.concatenate(
-            [p.task_node + N + sp_off[j] for j, p in enumerate(plans)])]
-        root_pos[sp_inst] = pos[N + sp_off[:-1]]
-        ok[sp_inst] = True
         series_parallel[sp_inst] = True
+        task_pos[series_parallel[inst_of_node]] = pos[np.concatenate(
+            [p.task_node + sp_off[j] for j, p in enumerate(plans)])]
+        root_pos[sp_inst] = pos[sp_off[:-1]]
+        ok |= series_parallel
 
     speeds = speeds_nodes[task_pos]
     cap = caps[inst_of_node]

@@ -526,7 +526,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                  cache_dir=args.cache_dir or None,
                  workers=max(1, args.workers), verbose=args.verbose,
                  token=args.token or None,
-                 batch_max=max(1, args.batch_max),
                  max_inflight=max(1, args.max_inflight),
                  max_queue=max(0, args.max_queue))
 
@@ -919,9 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "on every route except /v1/healthz "
                                    "(default: the REPRO_TOKEN environment "
                                    "variable; empty = open server)")
-    serve_parser.add_argument("--batch-max", type=int, default=512,
-                              help="most queued /v1/solve requests one "
-                                   "batch tick takes (default 512)")
     serve_parser.add_argument("--max-inflight", type=int, default=8,
                               help="work requests executing concurrently "
                                    "before admission queueing starts "

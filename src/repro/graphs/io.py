@@ -35,6 +35,23 @@ def graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
     works, self-loops, cycles), so the graph comes back indexed and
     without its dict layer.
     """
+    tasks = graph_tasks(data)
+    names = [str(name) for name in tasks]
+    src, dst = edge_ids(data, {name: i for i, name in enumerate(names)})
+    return TaskGraph.from_arrays(names, list(tasks.values()), src, dst,
+                                 name=graph_dict_name(data))
+
+
+def graph_tasks(data: Any) -> Mapping[Any, Any]:
+    """The task map of a graph dictionary.
+
+    Every reader of a graph dictionary checks its shape here: ``data``
+    must be a mapping whose ``"tasks"`` entry maps task names to works.
+    Anything else raises :class:`InvalidGraphError`.
+    """
+    if not isinstance(data, Mapping):
+        raise InvalidGraphError(
+            f"a graph dictionary must be a mapping, got {type(data).__name__}")
     if "tasks" not in data:
         raise InvalidGraphError("graph dictionary is missing the 'tasks' key")
     tasks = data["tasks"]
@@ -42,10 +59,16 @@ def graph_from_dict(data: Mapping[str, Any]) -> TaskGraph:
         raise InvalidGraphError(
             f"graph 'tasks' must map task names to works, got "
             f"{type(tasks).__name__}")
-    names = [str(name) for name in tasks]
-    src, dst = edge_ids(data, {name: i for i, name in enumerate(names)})
-    return TaskGraph.from_arrays(names, list(tasks.values()), src, dst,
-                                 name=graph_dict_name(data))
+    return tasks
+
+
+def task_count(data: Any) -> int:
+    """How many tasks the graph dictionary ``data`` holds; 0 when it is
+    not one (:func:`graph_tasks` raises for it)."""
+    try:
+        return len(graph_tasks(data))
+    except InvalidGraphError:
+        return 0
 
 
 def edge_ids(data: Mapping[str, Any], index_of: Mapping[str, int]
@@ -83,7 +106,10 @@ def edge_ids(data: Mapping[str, Any], index_of: Mapping[str, int]
 
 
 def graph_dict_name(data: Mapping[str, Any]) -> str:
-    """The name :func:`graph_from_dict` gives the graph of ``data``."""
+    """The name :func:`graph_from_dict` gives the graph of ``data``
+    (the default name when ``data`` is not a mapping)."""
+    if not isinstance(data, Mapping):
+        return "taskgraph"
     return str(data.get("name", "taskgraph"))
 
 

@@ -85,7 +85,6 @@ from repro.api.protocol import (
 )
 from repro.api.rowcodec import encode_rows
 from repro.reliability.policy import DEADLINE_HEADER, Deadline
-from repro.service.batcher import DEFAULT_MAX_BATCH
 from repro.utils.errors import (
     AuthError,
     DeadlineExceededError,
@@ -560,7 +559,6 @@ class SolverHTTPServer:
     def __init__(self, transport: Transport, *, host: str = "127.0.0.1",
                  port: int = 0, verbose: bool = False,
                  token: str | None = None,
-                 batch_max: int = DEFAULT_MAX_BATCH,
                  max_inflight: int = DEFAULT_MAX_INFLIGHT,
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  queue_timeout: float = DEFAULT_QUEUE_TIMEOUT) -> None:
@@ -570,8 +568,7 @@ class SolverHTTPServer:
         # the synchronous solve fast path: its own single-thread service
         # (the vector core never hops to a pool), shared by all handler
         # threads so concurrent /v1/solve requests coalesce into ticks
-        self.solver = SolverService(workers=1, use_threads=True,
-                                    batch_max=batch_max)
+        self.solver = SolverService(workers=1, use_threads=True)
         self.admission = AdmissionController(max_inflight=max_inflight,
                                              max_queue=max_queue,
                                              queue_timeout=queue_timeout)
@@ -647,7 +644,6 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
           jobs_dir: str = ".repro-jobs", cache_dir: str | None = None,
           workers: int = 2, use_threads: bool = False,
           verbose: bool = False, token: str | None = None,
-          batch_max: int = DEFAULT_MAX_BATCH,
           max_inflight: int = DEFAULT_MAX_INFLIGHT,
           max_queue: int = DEFAULT_MAX_QUEUE,
           drain_timeout: float = 30.0) -> int:
@@ -656,10 +652,10 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
     Jobs are executed by a :class:`DiskTransport`, so every submission is
     durably recorded under ``jobs_dir`` and survives a server restart as a
     re-attachable record; synchronous ``/v1/solve`` requests coalesce into
-    vectorized batch ticks of at most ``batch_max`` instances, each tick
-    taking whatever queued while the previous one ran.  ``token``
-    (default: the ``REPRO_TOKEN`` environment variable) turns on
-    bearer-token auth for every route but ``/v1/healthz``.
+    vectorized batch ticks, each tick taking whatever queued while the
+    previous one ran.  ``token`` (default: the ``REPRO_TOKEN`` environment
+    variable) turns on bearer-token auth for every route but
+    ``/v1/healthz``.
 
     The work routes sit behind bounded admission (``max_inflight`` /
     ``max_queue``; excess load is shed with typed 503s + ``Retry-After``),
@@ -675,7 +671,6 @@ def serve(*, host: str = "127.0.0.1", port: int = 8731,
     try:
         server = SolverHTTPServer(transport, host=host, port=port,
                                   verbose=verbose, token=token,
-                                  batch_max=batch_max,
                                   max_inflight=max_inflight,
                                   max_queue=max_queue)
     except OSError as exc:

@@ -3,8 +3,8 @@
 A :class:`MicroBatcher` sits between concurrent single-solve submitters
 (HTTP handler threads, :meth:`SolverService.solve` callers) and the
 struct-of-arrays batch solver.  Submissions land in a queue; a single tick
-thread sleeps only while the queue is empty.  Once woken it drains up to
-``max_batch`` submissions at once and executes *one* vectorized
+thread sleeps only while the queue is empty.  Once woken it drains the
+whole queue at once and executes *one* vectorized
 :func:`repro.batch.vectorized.solve_batch` call for the whole tick, which
 packs each submission (a problem, or the
 :class:`~repro.batch.vectorized.WireInstance` of a ``/v1/solve``) with the
@@ -35,28 +35,20 @@ from repro.reliability import failpoints
 from repro.reliability.policy import Deadline
 from repro.utils.errors import (
     DeadlineExceededError,
-    InvalidParameterError,
     ShutdownError,
     TransientTransportError,
 )
-
-#: Default tick-size cap: a tick drains at most this many submissions.
-DEFAULT_MAX_BATCH = 512
 
 
 class MicroBatcher:
     """Coalesce concurrent solve submissions into vectorized batch ticks.
 
-    Parameters
-    ----------
-    max_batch:
-        The most submissions one tick drains; the rest ride the next tick.
+    A tick takes every queued submission.  The queue needs no cap: behind
+    the HTTP server a ``/v1/solve`` holds its admission slot while it
+    waits for its tick, so admission bounds the queue.
     """
 
-    def __init__(self, *, max_batch: int = DEFAULT_MAX_BATCH) -> None:
-        if max_batch < 1:
-            raise InvalidParameterError(f"max_batch must be >= 1, got {max_batch}")
-        self.max_batch = max_batch
+    def __init__(self) -> None:
         self._cond = threading.Condition()
         self._queue: list[tuple[Any, dict[str, Any], Future]] = []
         self._closed = False
@@ -147,8 +139,7 @@ class MicroBatcher:
                     self._cond.wait()
                 if not self._queue:  # closed and drained
                     return
-                batch = self._queue[:self.max_batch]
-                del self._queue[:self.max_batch]
+                batch, self._queue = self._queue, []
                 self._ticks += 1
                 self._occupancy[len(batch)] += 1
             try:
@@ -215,7 +206,6 @@ class MicroBatcher:
                 "ticks": ticks,
                 "submitted": submitted,
                 "direct_batches": self._direct,
-                "max_batch": self.max_batch,
                 "occupancy": occupancy,
                 "mean_occupancy": (submitted / ticks) if ticks else 0.0,
                 "max_occupancy": max(occupancy) if occupancy else 0,

@@ -33,7 +33,7 @@ from repro.batch.sweep import plan_sweep, sweep_table
 from repro.batch.vectorized import (
     VECTORIZE_MAX_TASKS, PackedBatch, WireInstance, solve_batch)
 from repro.core.problem import MinEnergyProblem
-from repro.service.batcher import DEFAULT_MAX_BATCH, MicroBatcher
+from repro.service.batcher import MicroBatcher
 from repro.service.jobs import JobHandle, JobStatus
 from repro.utils.tables import Table
 from repro.utils.errors import InvalidParameterError, ShutdownError
@@ -58,26 +58,19 @@ class SolverService:
     cache:
         Optional :class:`repro.cache.ResultCache` consulted at submission
         time (hits never reach the pool) and populated as instances finish.
-    validate:
-        Re-check every solution with
-        :func:`repro.core.validation.check_solution` in the worker.
-    keep_speeds:
-        Include per-task speeds in every result.
-    batch_max:
-        Tick-size cap of the synchronous solve fast path (:meth:`solve` /
-        :meth:`solve_many_now`), which runs on a
-        :class:`~repro.service.batcher.MicroBatcher` instead of the pool.
+
+    Every job's solutions are re-checked with
+    :func:`repro.core.validation.check_solution` in the worker, and its
+    rows carry no speed maps.  The synchronous solve fast path
+    (:meth:`solve` / :meth:`solve_many_now`) runs on a
+    :class:`~repro.service.batcher.MicroBatcher` instead of the pool.
     """
 
     def __init__(self, *, workers: int = 2, use_threads: bool = False,
-                 cache: "ResultCache | None" = None,
-                 validate: bool = True, keep_speeds: bool = False,
-                 batch_max: int = DEFAULT_MAX_BATCH) -> None:
+                 cache: "ResultCache | None" = None) -> None:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         self.cache = cache
-        self.validate = validate
-        self.keep_speeds = keep_speeds
         if use_threads:
             self._pool: Any = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-service")
@@ -87,7 +80,6 @@ class SolverService:
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
         self._closed = False
-        self._batch_max = batch_max
         self._batcher: MicroBatcher | None = None
 
     # ------------------------------------------------------------------ #
@@ -162,8 +154,7 @@ class SolverService:
                          fingerprint: str = "",
                          manifest: dict[str, Any] | None = None) -> JobHandle:
         items = work_items(problems, method=method, exact=exact,
-                           validate=self.validate,
-                           keep_speeds=self.keep_speeds, options=options,
+                           validate=True, keep_speeds=False, options=options,
                            seeds=seeds, want_envelope=self.cache is not None)
         preresolved, pending, keys = _preresolve(items, self.cache)
         job_id = f"job-{next(self._counter)}-{uuid.uuid4().hex[:8]}"
@@ -192,7 +183,7 @@ class SolverService:
             if self._closed:
                 raise ShutdownError("SolverService is shut down")
             if self._batcher is None:
-                self._batcher = MicroBatcher(max_batch=self._batch_max)
+                self._batcher = MicroBatcher()
             return self._batcher
 
     def solve(self, item: "MinEnergyProblem | WireInstance", *,
@@ -255,8 +246,8 @@ class SolverService:
         with self._lock:
             if self._batcher is None:
                 return {"ticks": 0, "submitted": 0, "direct_batches": 0,
-                        "max_batch": self._batch_max, "occupancy": {},
-                        "mean_occupancy": 0.0, "max_occupancy": 0}
+                        "occupancy": {}, "mean_occupancy": 0.0,
+                        "max_occupancy": 0}
         return self._batcher.stats()
 
     # ------------------------------------------------------------------ #

@@ -4,9 +4,12 @@ Covers: a mixed request body (every route the batch can take, and every
 kind of malformed row) answers each row exactly as the same payload solved
 alone through ``execute_solve``, in process and over HTTP; a row does not
 depend on which instances share its batch or where it sits (hypothesis);
-an instance without tasks is one failure row on both the batch route and a
-shared micro-batcher tick, never a failed batch; and one packer fills the
-vector core's input for both routes, without per-instance objects.
+fake trees (a tree's degree statistics around a parent cycle) take the
+scalar path and the order of an edge list changes no row; a malformed
+in-process graph is a typed row; an instance without tasks is one failure
+row on both the batch route and a shared micro-batcher tick, never a
+failed batch; and one packer fills the vector core's input for both
+routes, without per-instance objects.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.graphs.analysis import longest_path_length
 from repro.graphs.io import graph_to_dict
 from repro.server import SolverHTTPServer
 from repro.service import MicroBatcher, SolverService
-from repro.utils.errors import ReproError
+from repro.utils.errors import ReproError, TransportError
 
 #: Relative tolerance of float fields between a batch row and its solo row.
 RTOL = 1e-12
@@ -265,6 +268,22 @@ class TestMixedBodyParity:
 # --------------------------------------------------------------------- #
 # a row does not depend on its batch
 # --------------------------------------------------------------------- #
+#: A fake tree: a tree's degree statistics (``m = n - 1``, one root, no
+#: task with two parents) around a parent cycle ``d -> e -> f -> d``.  Its
+#: edges read as an out-tree; reversed, as an in-tree only (``a`` then
+#: has two in-edges).
+FAKE_TREE_EDGES = {
+    "out": [["a", "b"], ["a", "c"], ["d", "e"], ["e", "f"], ["f", "d"]],
+    "in": [["b", "a"], ["c", "a"], ["e", "d"], ["f", "e"], ["d", "f"]],
+}
+
+
+def fake_tree(direction: str) -> dict:
+    return {"name": f"fake-{direction}",
+            "tasks": {task: float(k + 1) for k, task in enumerate("abcdef")},
+            "edges": FAKE_TREE_EDGES[direction]}
+
+
 SHAPES = {
     "chain": lambda n, seed: generators.chain(n, seed=seed),
     "fork": lambda n, seed: generators.fork(max(n - 1, 1), seed=seed),
@@ -280,7 +299,7 @@ def instances(draw):
     n = draw(st.integers(1, 12))
     graph = SHAPES[shape](n, draw(st.integers(0, 10_000)))
     kind = draw(st.sampled_from(["plain", "plain", "capped", "empty",
-                                 "negative"]))
+                                 "negative", "fake-tree"]))
     wire = payload(graph, slack=draw(st.floats(1.0, 3.0)),
                    s_max=1.0 if kind == "capped" else None,
                    alpha=draw(st.sampled_from([2.0, 2.5, 3.0])),
@@ -290,6 +309,8 @@ def instances(draw):
     elif kind == "negative":
         first = next(iter(wire["graph"]["tasks"]))
         wire["graph"]["tasks"][first] = -1.0
+    elif kind == "fake-tree":
+        wire["graph"] = fake_tree(draw(st.sampled_from(["out", "in"])))
     return wire
 
 
@@ -306,6 +327,70 @@ def test_a_row_does_not_depend_on_its_batch(service, body, data):
         for row in (together[k], shuffled[position]):
             assert_same_row(SolveResponse.from_result(row),
                             SolveResponse.from_result(alone), k)
+
+
+def test_fake_trees_go_to_the_scalar_path():
+    # the 256-task chain is the deepest instance the core takes: its
+    # depths need the most pointer jumps
+    chain = generators.chain(256, seed=3)
+    tree = generators.random_tree(9, seed=4)
+    items = [WireInstance(fake_tree("out"), deadline=30.0),
+             WireInstance(graph_to_dict(tree), deadline=40.0),
+             WireInstance(fake_tree("in"), deadline=30.0),
+             WireInstance(graph_to_dict(chain),
+                          deadline=1.5 * float(chain.index().works.sum()))]
+    fake_out, tree_row, fake_in, chain_row = solve_batch(items)
+    for row in (fake_out, fake_in):
+        assert not row.ok and row.error_type == "InvalidGraphError"
+        assert "contains a cycle" in row.error
+    for row in (tree_row, chain_row):
+        assert row.ok and row.solver == TREE_BATCH_SOLVER
+
+
+@pytest.mark.parametrize("direction", ["out", "in"])
+def test_edge_list_order_does_not_change_a_row(direction):
+    # siblings fold in task order, whatever order their edges came in
+    rng = np.random.default_rng(7)
+    original, shuffled = [], []
+    for seed in range(200):
+        graph = graph_to_dict(generators.random_tree(30, seed=seed,
+                                                     direction=direction))
+        deadline = float(rng.uniform(20.0, 200.0))
+        original.append(WireInstance(graph, deadline))
+        edges = list(graph["edges"])
+        rng.shuffle(edges)
+        shuffled.append(WireInstance(graph | {"edges": edges}, deadline))
+    for row, again in zip(solve_batch(original, keep_speeds=True),
+                          solve_batch(shuffled, keep_speeds=True)):
+        assert row.ok and row.solver == TREE_BATCH_SOLVER
+        assert again.energy == row.energy
+        assert again.speeds == row.speeds
+
+
+# --------------------------------------------------------------------- #
+# malformed in-process graphs
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("model", ["continuous", "discrete"])
+@pytest.mark.parametrize("graph", [[1, 2], {"tasks": 5}],
+                         ids=["list", "tasks-int"])
+def test_a_malformed_in_process_graph_is_a_typed_row(service, graph, model):
+    request = SolveRequest(graph=graph, deadline=1.0, model=model)
+    (row,) = execute_solve_batch(service, [request])
+    for answer in (execute_solve(service, request),
+                   SolveResponse.from_result(row)):
+        assert not answer.ok and answer.error_type == "InvalidGraphError"
+        assert answer.n_tasks == 0
+    # over the wire the same payload is refused before it is a request
+    with pytest.raises(TransportError):
+        SolveRequest.from_wire(request.to_wire())
+
+
+@pytest.mark.parametrize("graph", [[1, 2], {"tasks": 5}],
+                         ids=["list", "tasks-int"])
+def test_a_malformed_wire_instance_is_a_typed_row(graph):
+    (row,) = solve_batch([WireInstance(graph, deadline=1.0)])
+    assert not row.ok and row.error_type == "InvalidGraphError"
+    assert row.n_tasks == 0 and row.name == "MinEnergy(taskgraph, D=1)"
 
 
 # --------------------------------------------------------------------- #

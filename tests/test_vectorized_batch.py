@@ -8,8 +8,9 @@ the micro-batcher's coalescing guarantee (N concurrent submissions cost
 far fewer than N ticks), the SolveRequest/SolveResponse wire envelopes,
 the binary row codec (round-trip plus malformed-frame rejection), solve /
 solve_batch parity across the Local, Disk and HTTP transports,
-``repro solve --url``, and a malformed option coming back as a typed row
-while the fast path keeps serving.
+``repro solve --url``, ``repro serve`` refusing the tick knobs it no
+longer has, and a malformed option coming back as a typed row while the
+fast path keeps serving.
 """
 
 from __future__ import annotations
@@ -226,26 +227,22 @@ class TestMicroBatcherCoalescing:
         assert stats["occupancy"] == {1: 2, 2: 1}
         assert tick_gate.sizes == [1, 1, 1]
 
-    @pytest.mark.parametrize("max_batch, ticks", [(512, [1, 9]),
-                                                  (4, [1, 4, 4, 1])])
-    def test_submissions_made_during_a_tick_ride_the_next(
-            self, tick_gate, max_batch, ticks):
+    def test_submissions_made_during_a_tick_ride_the_next(self, tick_gate):
         problems = [make_problem(generators.random_tree(6, seed=s))
                     for s in range(10)]
-        with MicroBatcher(max_batch=max_batch) as batcher:
+        with MicroBatcher() as batcher:
             futures = [tick_gate.hold(batcher, problems[0])]
             futures += [batcher.submit(p) for p in problems[1:]]
             tick_gate.release.set()
             rows = [f.result(timeout=5.0) for f in futures]
             stats = batcher.stats()
         assert all(row.ok for row in rows)
-        # one solve_batch call per tick, each draining up to max_batch
-        assert tick_gate.sizes == ticks
-        assert stats["ticks"] == len(ticks)
-        assert stats["max_occupancy"] == max(ticks)
+        # one solve_batch call per tick, each draining the whole queue
+        assert tick_gate.sizes == [1, 9]
+        assert stats["ticks"] == 2
+        assert stats["max_occupancy"] == 9
         assert set(stats) == {"ticks", "submitted", "direct_batches",
-                              "max_batch", "occupancy", "mean_occupancy",
-                              "max_occupancy"}
+                              "occupancy", "mean_occupancy", "max_occupancy"}
         assert [row.name for row in rows] == [p.name for p in problems]
 
     def test_closed_batcher_rejects_submissions(self):
@@ -556,3 +553,12 @@ class TestSolveCLI:
         assert remote == local
         assert remote["energy"] == pytest.approx(local["energy"])
         assert len(remote["speeds"]) == 10
+
+    @pytest.mark.parametrize("flag", ["--batch-max", "--batch-window-ms"])
+    def test_retired_serve_flags_exit_2(self, flag, capsys):
+        # a tick drains the whole queue as soon as it is not empty: serve
+        # has neither a tick cap nor a coalescing window to set
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", flag, "4"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
