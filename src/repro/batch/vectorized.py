@@ -7,9 +7,8 @@ pool hop — at the many-small-graphs shape the per-instance overhead
 dominates by orders of magnitude.  This module removes it: B instances are
 packed into one :class:`PackedBatch` of flat NumPy arrays (concatenated
 task works with per-instance offsets, batch-wide edge ids) and solved *all
-at once* with one segment-reduced bottom-up equivalent-load pass and one
-top-down window pass.  No per-instance Python dispatch, no pickling, no
-pool hop.
+at once* with one bottom-up equivalent-load pass and one top-down window
+pass.  No per-instance Python dispatch, no pickling, no pool hop.
 
 Packed batches
 --------------
@@ -31,27 +30,21 @@ other instances share its batch.
 
 Unified computation forest
 --------------------------
-Every vectorizable instance lowers to a forest of *combine nodes*, each
-carrying a work amount and the id of its one parent (-1 at a root).  Two
-combine kinds cover all shapes:
-
-- **P-combine** (``load = work + (sum load_c ** alpha) ** (1/alpha)``):
-  tree nodes (Theorem 2's out/in-tree recursion, fork/join/chain/single are
-  the degenerate cases) and SP parallel compositions (with ``work = 0``);
-- **S-combine** (``load = work + sum load_c``): SP series compositions
-  (``work = 0``).
-
+Every vectorizable instance lowers to the combine nodes of
+:mod:`repro.continuous.series_parallel` (P-combine: tree tasks and SP
+parallel compositions; S-combine: SP series compositions), each with one
+parent id (-1 at a root), and the core merges all of them into one forest.
 A tree task's parent comes from its one edge towards the root (one scatter
-over the batch's edges); an SP plan records its nodes' parents as it walks
-the decomposition.  Pointer jumping gives every node its depth, and the
-nodes are sorted by depth once.  The kind collapses into per-node exponent
-arrays (``1/alpha`` vs ``1``), so the two passes run branch-free over the
-whole batch: bottom-up, each level folds its loads into its parents with
-one ``bincount``; top-down, each level gathers its share of its parent's
-window (Theorem 2's proportional rule).  Siblings fold in task order, so
-the order of an edge list does not change a result.  Every task's optimal
-speed is ``load / window``: the scalar solvers' numbers up to
-floating-point reassociation (the tests hold them to 1e-9).
+over the batch's edges); an SP instance brings its
+:func:`~repro.continuous.series_parallel.sp_plan`.  Pointer jumping
+(:func:`~repro.continuous.series_parallel.node_depths`) gives every node
+its depth and finds the parent cycles of a fake tree, and
+:func:`~repro.continuous.series_parallel.fold_and_split` runs Theorem 2's
+two passes over the whole batch: the same function, on the same arrays,
+as :func:`~repro.continuous.tree.solve_tree` and
+:func:`~repro.continuous.series_parallel.solve_series_parallel`, so a row
+solved here carries the speeds those solvers give its instance.  Siblings
+fold in task order, so the order of an edge list does not change a result.
 
 Instances the vector core cannot express — non-tree/non-SP DAGs, discrete
 models, instances whose uncapped speeds violate a finite ``s_max`` (the
@@ -71,14 +64,14 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from repro.batch.engine import BatchResult, _WorkItem, _solve_one
+from repro.continuous.series_parallel import (
+    CombinePlan, fold_and_split, node_depths, sp_plan)
 from repro.core.models import ContinuousModel
 from repro.core.power import CUBIC, PowerLaw
 from repro.core.problem import MinEnergyProblem, default_problem_name
 from repro.graphs.io import (
     edge_ids, graph_dict_name, graph_from_dict, task_count)
-from repro.graphs.sp_decomposition import SPLeaf, SPParallel, sp_decompose
-from repro.graphs.taskgraph import TaskGraph
-from repro.utils.errors import InvalidGraphError, NotSeriesParallelError
+from repro.utils.errors import InvalidGraphError
 from repro.utils.numerics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
 #: Instances above this task count go to the scalar path: the vector win is
@@ -270,57 +263,6 @@ class BatchPacker:
 
 
 # --------------------------------------------------------------------------- #
-# per-instance lowering of series-parallel graphs
-# --------------------------------------------------------------------------- #
-@dataclass
-class _Plan:
-    """Node arrays of one lowered instance (SP decomposition forest)."""
-
-    works: np.ndarray          # per combine node
-    is_p: np.ndarray           # bool: P-combine (alpha-norm) vs S-combine
-    parent: np.ndarray         # local id of each node's parent, -1 at the root
-    task_node: np.ndarray      # local node id of each task, in task order
-
-
-def _sp_plan(graph: TaskGraph) -> _Plan:
-    """Flatten ``sp_decompose(graph)`` into combine-node arrays.
-
-    Leaves are P-combine nodes carrying the task work (they have no
-    children, so the kind is irrelevant to the load pass but makes the
-    top-down rule uniform); series/parallel compositions are zero-work
-    S/P-combine nodes.  Raises :class:`NotSeriesParallelError` for non-SP
-    graphs.
-    """
-    root = sp_decompose(graph)
-    index_of = graph.index().index_of
-    works: list[float] = []
-    is_p: list[bool] = []
-    parent: list[int] = [-1]
-    task_node = np.empty(graph.n_tasks, dtype=np.int64)
-
-    # breadth-first walk; ids are queue positions, so node 0 is the combine
-    # root and the children of a node get consecutive ids, in child order
-    queue: list[Any] = [root]
-    for my_id, node in enumerate(queue):
-        if isinstance(node, SPLeaf):
-            works.append(node.work)
-            is_p.append(True)
-            task_node[index_of[node.task]] = my_id
-            continue
-        works.append(0.0)
-        is_p.append(isinstance(node, SPParallel))
-        if not node.children:  # pragma: no cover - decomposition invariant
-            raise NotSeriesParallelError("empty composition in decomposition")
-        queue.extend(node.children)
-        parent.extend([my_id] * len(node.children))
-
-    return _Plan(works=np.asarray(works, dtype=np.float64),
-                 is_p=np.asarray(is_p, dtype=bool),
-                 parent=np.asarray(parent, dtype=np.int64),
-                 task_node=task_node)
-
-
-# --------------------------------------------------------------------------- #
 # the packed solve
 # --------------------------------------------------------------------------- #
 class _Solved(NamedTuple):
@@ -349,33 +291,13 @@ def _tree_orientation_masks(n: np.ndarray, m: np.ndarray,
     Mirrors ``repro.continuous.tree._tree_orientation``: out-trees win when
     both orientations hold (single task / chain).  Acyclicity and
     connectivity are *not* decided here — the pointer jumping of
-    :func:`_depths` finds the parent cycles of a fake tree.
+    :func:`~repro.continuous.series_parallel.node_depths` finds the parent
+    cycles of a fake tree.
     """
     tree_count = m == np.maximum(n - 1, 0)
     out = tree_count & (indeg_over == 0) & (indeg0 == 1)
     inn = tree_count & (outdeg_over == 0) & (outdeg0 == 1)
     return out, inn & ~out
-
-
-def _depths(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Depth of every node under ``parent`` (-1 at a root), by pointer
-    jumping, and the mask of nodes that never reach a root.
-
-    Each jump doubles the distance to the ancestor a node points at, so a
-    node of an acyclic forest reaches its root within ``size.bit_length()``
-    jumps; one still short of a root after that sits on (or under) a
-    parent cycle.
-    """
-    size = parent.shape[0]
-    at_root = parent < 0
-    anc = np.where(at_root, np.arange(size, dtype=np.int64), parent)
-    depth = (~at_root).astype(np.int64)
-    for _ in range(size.bit_length()):
-        if at_root[anc].all():
-            break
-        depth += depth[anc]
-        anc = anc[anc]
-    return depth, ~at_root[anc]
 
 
 def _solve_vectorized(batch: PackedBatch) -> _Solved:
@@ -421,10 +343,10 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
     # non-tree eligible instances: try the series-parallel lowering
     # (per-instance Python — SP needs the recursive decomposition anyway);
     # a non-SP or malformed graph is left to the scalar path
-    sp_plans: list[tuple[int, _Plan]] = []
+    sp_plans: list[tuple[int, CombinePlan]] = []
     for i in np.flatnonzero(eligible & ~is_tree_inst).tolist():
         try:
-            sp_plans.append((i, _sp_plan(batch.problem(i).graph)))
+            sp_plans.append((i, sp_plan(batch.problem(i).graph)))
         except Exception:
             continue
 
@@ -459,7 +381,7 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
         [inst_of_node] + [np.full(p.works.shape[0], i, dtype=np.int64)
                           for i, p in sp_plans])
 
-    depth, stuck = _depths(g_parent)
+    depth, stuck = node_depths(g_parent)
     if stuck.any():
         # fake trees (degree stats matched but a parent cycle hides nodes):
         # the whole instance goes to the scalar path, and its tasks become
@@ -473,75 +395,31 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
         g_parent[reset] = -1
         depth[reset] = 0
 
-    # level-sort every node (stable keeps instance-major id order within a
-    # level, so siblings sum in task order, not in edge-list order)
-    order = np.argsort(depth, kind="stable")
-    total_nodes = order.shape[0]
-    pos = np.empty(total_nodes, dtype=np.int64)
-    pos[order] = np.arange(total_nodes, dtype=np.int64)
-    inst_s = g_inst[order]
-    work_s = g_works[order]
-    is_p_s = g_is_p[order]
-    alpha_s = alphas[inst_s]
-    #: sorted position of each node's parent (a root's entry is never read)
-    up_s = pos[g_parent[order]]
-    #: the exponent a node's kind folds its children's loads with
-    fold_exp = np.where(is_p_s, alpha_s, 1.0)
-    inv_exp = np.where(is_p_s, 1.0 / alpha_s, 1.0)
-    #: level ``lvl`` holds sorted positions ``bounds[lvl]:bounds[lvl + 1]``
-    bounds = [0] + np.cumsum(np.bincount(depth)).tolist()
-
-    # ------------------------------------------------------------------ #
-    # bottom-up equivalent loads (Theorem 2): each level folds into its
-    # parents with one bincount
-    # ------------------------------------------------------------------ #
-    loads = work_s.copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lvl in range(len(bounds) - 2, 0, -1):
-            p0, c0, c1 = bounds[lvl - 1:lvl + 2]
-            up = up_s[c0:c1]
-            seg = np.bincount(up - p0, weights=loads[c0:c1] ** fold_exp[up],
-                              minlength=c0 - p0)
-            np.power(seg, inv_exp[p0:c0], out=seg)
-            loads[p0:c0] = work_s[p0:c0] + seg
-
-        # --------------------------------------------------------------- #
-        # top-down windows: a root gets its deadline, and each level
-        # gathers its share from its parents: an S-combine's children a
-        # share proportional to their own load, a P-combine's children
-        # all the full remainder
-        # --------------------------------------------------------------- #
-        win = deadlines[inst_s]
-        for lvl in range(1, len(bounds) - 1):
-            p0, c0, c1 = bounds[lvl - 1:lvl + 2]
-            factor = win[p0:c0] / loads[p0:c0]
-            factor = np.where(is_p_s[p0:c0],
-                              factor * (loads[p0:c0] - work_s[p0:c0]), factor)
-            up = up_s[c0:c1]
-            win[c0:c1] = factor[up - p0] * np.where(is_p_s[up], 1.0,
-                                                    loads[c0:c1])
-        speeds_nodes = loads / np.where(win > 0.0, win, np.nan)
+    # Theorem 2's passes over every node at once (siblings fold in id
+    # order: task order, not edge-list order)
+    loads, speeds_nodes = fold_and_split(g_works, g_is_p, g_parent, depth,
+                                         deadlines[g_inst], alphas[g_inst])
 
     # ------------------------------------------------------------------ #
     # per-instance tail: speeds, cap checks and energies as segment
     # reductions over the task offsets
     # ------------------------------------------------------------------ #
     # tree-chunk node ids are batch task ids; SP tasks sit in their plans
-    task_pos = pos[:N].copy()
+    task_node = np.arange(N, dtype=np.int64)
     tree_roots = np.flatnonzero((g_parent[:N] < 0)
                                 & is_tree_inst[inst_of_node])
-    root_pos = np.zeros(B, dtype=np.int64)
-    root_pos[inst_of_node[tree_roots]] = pos[tree_roots]
+    root_node = np.zeros(B, dtype=np.int64)
+    root_node[inst_of_node[tree_roots]] = tree_roots
     ok = is_tree_inst.copy()
     series_parallel = np.zeros(B, dtype=bool)
     if plans:
         series_parallel[sp_inst] = True
-        task_pos[series_parallel[inst_of_node]] = pos[np.concatenate(
-            [p.task_node + sp_off[j] for j, p in enumerate(plans)])]
-        root_pos[sp_inst] = pos[sp_off[:-1]]
+        task_node[series_parallel[inst_of_node]] = np.concatenate(
+            [p.task_node + sp_off[j] for j, p in enumerate(plans)])
+        root_node[sp_inst] = sp_off[:-1]
         ok |= series_parallel
 
-    speeds = speeds_nodes[task_pos]
+    speeds = speeds_nodes[task_node]
     cap = caps[inst_of_node]
     with np.errstate(invalid="ignore", over="ignore"):
         # degenerate windows, or uncapped Theorem 2 speeds over s_max: the
@@ -553,7 +431,7 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
             weights=works_all * speeds ** (alphas[inst_of_node] - 1.0))
     ok &= per_instance(rejected) == 0
     return _Solved(ok=ok, series_parallel=series_parallel, energy=energy,
-                   load=loads[root_pos], speeds=speeds)
+                   load=loads[root_node], speeds=speeds)
 
 
 # --------------------------------------------------------------------------- #

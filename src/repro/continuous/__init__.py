@@ -27,7 +27,6 @@ from repro.continuous.closed_forms import (
 from repro.continuous.series_parallel import (
     equivalent_load,
     solve_series_parallel,
-    sp_equivalent_load,
 )
 from repro.continuous.tree import solve_tree, is_tree
 from repro.continuous.sparse import solve_general_convex_sparse
@@ -45,7 +44,6 @@ __all__ = [
     "solve_join",
     "fork_optimal_speeds",
     "equivalent_load",
-    "sp_equivalent_load",
     "solve_series_parallel",
     "solve_tree",
     "is_tree",

@@ -76,13 +76,12 @@ def solve_continuous(problem: MinEnergyProblem, *, force_method: str | None = No
     if closed is not None:
         return closed
 
-    # 2. trees / series-parallel graphs (exact and cheap, uncapped speeds)
+    # 2. trees / series-parallel graphs (exact and cheap, uncapped speeds).
+    # A tree is SP too, but its SP speeds are its tree speeds, so a tree
+    # whose speeds break s_max goes straight to the convex program.
     try:
         if is_tree(problem.graph):
             return solve_tree(problem)
-    except SolverError:
-        pass  # s_max violated: fall through to the convex solver
-    try:
         # solve_series_parallel decomposes internally and raises
         # NotSeriesParallelError for non-SP graphs, so probing with
         # is_series_parallel first would run the decomposition twice.

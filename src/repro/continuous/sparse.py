@@ -14,10 +14,9 @@ size (10,000-task general DAGs in seconds):
   vectorised two-hop bitset filter (an Erdős-layered 2,000-task DAG keeps
   ~4% of its 300k edges — every dropped row is implied by a longer path,
   so the feasible region is unchanged);
-* a structure-exploiting warm start projects the instance onto its
-  critical spanning forest and runs the O(n) iterative Theorem-2 tree
-  machinery on it, then scale-repairs the result back into the
-  critical-path polytope of the full DAG;
+* the iteration starts from uniform scaling (every task at the one speed
+  at which the critical path meets the deadline), pushed strictly inside
+  the polytope;
 * the convex program itself is handed to a backend registered on
   :data:`repro.modeling.BACKENDS` — by default ``mehrotra-ipm``, the
   primal-dual Mehrotra predictor-corrector interior point
@@ -70,7 +69,7 @@ from repro.core.solution import (
     tail_times,
 )
 from repro.graphs.analysis import longest_path_length
-from repro.graphs.taskgraph import GraphIndex, TaskGraph
+from repro.graphs.taskgraph import GraphIndex
 from repro.modeling import BACKENDS, ConvexModel, declare_precedence
 from repro.utils.errors import SolverError
 
@@ -161,58 +160,6 @@ def build_sparse_constraints(n: int, esrc: np.ndarray, edst: np.ndarray,
     """
     mat = declare_continuous_program(n, esrc, edst, d_lower).materialize()
     return mat.g_matrix, mat.h
-
-
-def _forest_warm_start(problem: MinEnergyProblem, idx: GraphIndex,
-                       works: np.ndarray, d_lower: np.ndarray
-                       ) -> np.ndarray | None:
-    """Durations from the Theorem-2 tree machinery on a critical forest.
-
-    Keeps, for every task, only its *critical* predecessor (the one with
-    the latest unit-speed ASAP finish, so the DAG's critical path survives
-    in the forest), hangs the forest's roots under a virtual
-    negligible-work root, and solves the resulting out-tree exactly with
-    the O(n) iterative tree solver.  The tree optimum is then rescaled so
-    the *full* DAG (whose dropped edges the forest ignored) meets the
-    normalised deadline again — a projection onto the critical-path
-    polytope that is typically within a few percent of the true optimum
-    and costs O(n + m).
-
-    Returns the normalised duration vector, or ``None`` when the tree
-    machinery does not apply (it then falls back to uniform scaling).
-    """
-    from repro.continuous.tree import solve_tree
-    from repro.core.models import ContinuousModel
-
-    n = idx.n_tasks
-    _start, unit_finish = asap_times(idx, works)
-    root = "__critical_forest_root__"
-    while root in idx.index_of:
-        root += "_"
-    # forest task 0 is the root, task i + 1 is task i; a task's parent is
-    # its first predecessor (CSR order) with the latest finish, else the root
-    has_pred = idx.in_degree > 0
-    by_finish = np.lexsort((-unit_finish[idx.pred_idx],
-                            np.repeat(np.arange(n), idx.in_degree)))
-    parent = np.zeros(n, dtype=np.int64)
-    parent[has_pred] = idx.pred_idx[by_finish[idx.pred_ptr[:-1][has_pred]]] + 1
-    forest = TaskGraph.from_arrays(
-        (root, *idx.names),
-        np.concatenate(([max(float(np.min(works)) * 1e-6, 1e-12)], works)),
-        parent, np.arange(1, n + 1), name="critical-forest")
-    tree_problem = MinEnergyProblem(
-        graph=forest, deadline=1.0, model=ContinuousModel(s_max=math.inf),
-        power=problem.power, name="critical-forest-warm-start",
-    )
-    try:
-        tree_solution = solve_tree(tree_problem, enforce_speed_cap=False)
-    except SolverError:
-        return None
-    speeds = tree_solution.speeds()
-    durations = np.array([works[i] / speeds[name]
-                          for i, name in enumerate(idx.names)])
-    durations = np.clip(durations, d_lower, 1.0)
-    return durations
 
 
 def _interior_start(idx: GraphIndex, d_feas: np.ndarray, d_lower: np.ndarray
@@ -336,7 +283,6 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
     cp_norm = longest_path_length(graph, weight=works)
     if cp_norm <= 0:
         raise SolverError("graph has no work")
-    uniform_d = np.maximum(works / cp_norm, d_lower)
 
     def objective(d: np.ndarray) -> float:
         return float(np.sum(works ** alpha * d ** (1.0 - alpha)))
@@ -344,17 +290,8 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
     def makespan_of(d: np.ndarray) -> float:
         return compute_makespan(graph, d)
 
-    warm_d = uniform_d
+    warm_d = np.maximum(works / cp_norm, d_lower)
     stage = "uniform-scaling-warm-start"
-    forest_d = _forest_warm_start(problem, idx, works, d_lower)
-    if forest_d is not None:
-        overshoot = makespan_of(forest_d)
-        if overshoot > 1.0:
-            forest_d = np.maximum(forest_d / overshoot, d_lower)
-        if (makespan_of(forest_d) <= 1.0 + 1e-9
-                and objective(forest_d) < objective(uniform_d)):
-            warm_d = forest_d
-            stage = "forest-warm-start"
 
     x0 = _interior_start(idx, warm_d, d_lower)
     ipm_lower = d_lower

@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from kkt import KKT_TOLERANCE, kkt_residual
 
 from repro.continuous import (
     continuous_lower_bound,
@@ -190,9 +191,6 @@ class TestSeriesParallelAndTree:
         p = MinEnergyProblem(graph=g, deadline=2.5, model=ContinuousModel(s_max=1.1))
         with pytest.raises(SolverError):
             solve_series_parallel(p)
-        # but the uncapped solve is allowed when requested explicitly
-        uncapped = solve_series_parallel(p, enforce_speed_cap=False)
-        assert uncapped.energy > 0
 
     def test_fork_on_fork_graph_equals_sp_solver(self, small_fork):
         p = _problem(small_fork, 1.5)
@@ -249,6 +247,46 @@ class TestSeriesParallelAndTree:
         check_solution(s)
         # optimal continuous schedules finish exactly at the deadline
         assert s.makespan == pytest.approx(p.deadline, rel=1e-9)
+
+
+class TestTheorem2Passes:
+    """The one fold-and-split pass behind the tree, SP and batch solvers.
+
+    With no second implementation left to compare against, the KKT
+    residual (``tests/kkt.py``) checks each answer's optimality without
+    trusting the pass.
+    """
+
+    @given(st.sampled_from(["out", "in", "series-parallel"]),
+           st.integers(min_value=1, max_value=256),
+           st.floats(min_value=1.5, max_value=4.0),
+           st.floats(min_value=1.05, max_value=4.0),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_energy_is_load_to_the_alpha_over_deadline(self, shape, n, alpha,
+                                                       slack, seed):
+        from repro.batch import solve_batch
+
+        if shape == "series-parallel":
+            graph = generators.random_series_parallel(n, seed=seed)
+            solver = solve_series_parallel
+        else:
+            graph = generators.random_tree(n, seed=seed, direction=shape)
+            solver = solve_tree
+        p = MinEnergyProblem(graph=graph,
+                             deadline=slack * longest_path_length(graph),
+                             model=ContinuousModel(),
+                             power=PowerLaw(alpha=alpha))
+        s = solver(p)
+        check_solution(s)
+        assert kkt_residual(s) <= KKT_TOLERANCE
+        assert s.makespan == pytest.approx(p.deadline, rel=1e-9)
+        load = s.metadata["equivalent_load"]
+        assert s.energy == pytest.approx(
+            load ** alpha / p.deadline ** (alpha - 1), rel=1e-12)
+        [row] = solve_batch([p])
+        assert row.ok and row.metadata["vectorized"]
+        assert row.energy == pytest.approx(s.energy, rel=1e-12)
 
 
 class TestConvexSolver:
@@ -321,6 +359,27 @@ class TestDispatcherAndBounds:
         p = MinEnergyProblem(graph=g, deadline=1.05 * min_makespan,
                              model=ContinuousModel(s_max=1.0))
         s = solve_continuous(p)
+        check_solution(s)
+
+    def test_capped_tree_goes_straight_to_convex(self, monkeypatch):
+        # a tree's SP speeds are its tree speeds: once the tree pass breaks
+        # s_max, the SP solver can only break it again
+        import repro.continuous.solve as continuous_solve
+        from repro.solve import solve
+
+        calls = []
+        sp_solver = continuous_solve.solve_series_parallel
+        monkeypatch.setattr(continuous_solve, "solve_series_parallel",
+                            lambda problem: calls.append(problem)
+                            or sp_solver(problem))
+        g = generators.random_tree(500, seed=7)
+        p = MinEnergyProblem(graph=g, deadline=1.02 * longest_path_length(g),
+                             model=ContinuousModel(s_max=1.0))
+        with pytest.raises(SolverError):
+            solve_tree(p)
+        s = solve(p)
+        assert s.solver == "continuous-convex-sparse"
+        assert calls == []
         check_solution(s)
 
     def test_dispatcher_force_method(self, small_fork):
