@@ -16,7 +16,8 @@ size (10,000-task general DAGs in seconds):
   so the feasible region is unchanged);
 * the iteration starts from uniform scaling (every task at the one speed
   at which the critical path meets the deadline), pushed strictly inside
-  the polytope;
+  the polytope, and the backend starts the duals at that point's energy
+  scale;
 * the convex program itself is handed to a backend registered on
   :data:`repro.modeling.BACKENDS` — by default ``mehrotra-ipm``, the
   primal-dual Mehrotra predictor-corrector interior point
@@ -26,7 +27,7 @@ size (10,000-task general DAGs in seconds):
   and factorises only the n x n Schur complement on the completion times
   (the DAG's sparsity plus each task's predecessors joined; the duration
   of a task with more than 31 predecessors stays in the factorised
-  system, so a wide join does not make it dense) — ~25-60 factorisations
+  system, so a wide join does not make it dense) — ~10-30 factorisations
   regardless of size.  The first is SuperLU's; where its factors fill in
   (Erdős DAGs up to ~1000 tasks, layered and diamond DAGs up to a few
   hundred: fill above 0.19·sqrt(n/1000) of n²), the rest are dense LAPACK
@@ -237,7 +238,7 @@ def solve_general_convex_sparse(problem: MinEnergyProblem, *,
         honoured.
     max_iterations:
         Cap on interior-point iterations (each is one KKT
-        factorisation; typical instances converge in 25-60).  Passed to
+        factorisation; typical instances converge in 10-30).  Passed to
         the backend when it declares the option.
     tolerance:
         Relative duality-gap target of the stopping test (ditto).

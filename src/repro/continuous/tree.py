@@ -92,9 +92,23 @@ def tree_equivalent_load(graph: TaskGraph, root: str, *, alpha: float = 3.0,
     predecessors (in-tree).  The load of a subtree only depends on the tasks
     below ``root``, so this is a lookup into the bottom-up pass over the
     whole tree.
+
+    Raises
+    ------
+    InvalidGraphError
+        If ``direction`` is neither ``"out"`` nor ``"in"``, or the graph is
+        not a tree in that direction (a chain is both).
     """
+    if direction not in ("out", "in"):
+        raise InvalidGraphError(
+            f"direction must be 'out' or 'in', got {direction!r}")
+    idx = graph.index()
+    parents = idx.in_degree if direction == "out" else idx.out_degree
+    if _tree_orientation(graph) is None or (parents > 1).any():
+        raise InvalidGraphError(
+            f"graph {graph.name!r} is not an {direction}-tree")
     loads, _speeds = plan_passes(tree_plan(graph, direction), 1.0, alpha)
-    return float(loads[graph.index().index_of[root]])
+    return float(loads[idx.index_of[root]])
 
 
 def solve_tree(problem: MinEnergyProblem) -> Solution:

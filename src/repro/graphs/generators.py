@@ -46,7 +46,12 @@ WorkSampler = Callable[[np.random.Generator], float]
 _DRAW_BLOCK = 1 << 20
 
 
-def uniform_works(low: float = 1.0, high: float = 10.0) -> WorkSampler:
+#: Bounds of the default work distribution (:func:`uniform_works`'s).
+_WORK_LOW, _WORK_HIGH = 1.0, 10.0
+
+
+def uniform_works(low: float = _WORK_LOW,
+                  high: float = _WORK_HIGH) -> WorkSampler:
     """Return a sampler drawing works uniformly from ``[low, high]``."""
     if not (0 < low <= high):
         raise InvalidGraphError("uniform work bounds must satisfy 0 < low <= high")
@@ -71,7 +76,11 @@ def constant_works(value: float = 1.0) -> WorkSampler:
 
 def _sample_works(rng: np.random.Generator, count: int,
                   sampler: WorkSampler | None) -> list[float]:
-    sampler = sampler or uniform_works()
+    if sampler is None:
+        # the default sampler's draws in one call: the same stream, and the
+        # same product and sum of each draw, so the same floats
+        return (_WORK_LOW + (_WORK_HIGH - _WORK_LOW)
+                * rng.random(count)).tolist()
     return [sampler(rng) for _ in range(count)]
 
 
@@ -176,9 +185,8 @@ def diamond(rows: int, cols: int, *, seed: RngLike = None,
     if rows < 1 or cols < 1:
         raise InvalidGraphError("diamond dimensions must be positive")
     rng = make_rng(seed)
-    sampler = work_sampler or uniform_works()
     names = [f"T{i}_{j}" for i in range(rows) for j in range(cols)]
-    works = [sampler(rng) for _ in names]
+    works = _sample_works(rng, len(names), work_sampler)
     cell = np.arange(rows * cols).reshape(rows, cols)
     down, right = cell[:-1, :].ravel(), cell[:, :-1].ravel()
     return TaskGraph.from_arrays(
@@ -297,7 +305,6 @@ def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
     if not (0.0 <= edge_probability <= 1.0):
         raise InvalidGraphError("edge_probability must be in [0, 1]")
     rng = make_rng(seed)
-    sampler = work_sampler or uniform_works()
     if layers is None:
         layers = max(1, int(round(np.sqrt(n))))
     layers = min(layers, n)
@@ -306,30 +313,32 @@ def layered_dag(n: int, *, seed: RngLike = None, layers: int | None = None,
     sizes = [1] * layers
     for k in rng.integers(0, layers, size=n - layers).tolist():
         sizes[k] += 1
-    works = [sampler(rng) for _ in range(n)]  # layer by layer, in task order
-    starts = np.cumsum([0] + sizes).tolist()
-    src: list[np.ndarray] = []
-    dst: list[np.ndarray] = []
-    for k in range(1, layers):
-        width, count = sizes[k - 1], sizes[k]
-        # the stream's order, task by task: the forced predecessor
-        # (ensures connectivity to the previous layer), then one draw for
-        # each other task of the previous layer
-        forced = np.empty(count, dtype=np.int64)
-        draws = np.empty((count, width - 1))
-        for row in range(count):
-            forced[row] = rng.integers(0, width)
-            rng.random(out=draws[row])
-        rows, cols = np.nonzero(draws < edge_probability)
-        # column c stands for previous-layer task c, skipping the forced one
-        cols += cols >= forced[rows]
-        targets = starts[k] + np.arange(count)
-        src += [starts[k - 1] + forced, starts[k - 1] + cols]
-        dst += [targets, targets[rows]]
+    works = _sample_works(rng, n, work_sampler)  # layer by layer, in task order
+    size = np.array(sizes, dtype=np.int64)
+    # one row per task past the first layer, in the stream's order: the
+    # forced predecessor (ensures connectivity to the previous layer), then
+    # one draw for each other task of the previous layer, into
+    # draws[ptr[r]:ptr[r + 1]]
+    width = np.repeat(size[:-1], size[1:])
+    ptr = np.concatenate(([0], np.cumsum(width - 1)))
+    forced = np.empty(len(width), dtype=np.int64)
+    draws = np.empty(int(ptr[-1]))
+    bounds = ptr.tolist()
+    for row, w in enumerate(width.tolist()):
+        forced[row] = rng.integers(0, w)
+        rng.random(out=draws[bounds[row]:bounds[row + 1]])
+    hits = np.flatnonzero(draws < edge_probability)
+    rows = np.searchsorted(ptr, hits, side="right") - 1
+    # column c stands for previous-layer task c, skipping the forced one
+    cols = hits - ptr[rows]
+    cols += cols >= forced[rows]
+    # the first task of each row's previous layer, and the row's own task
+    prev = np.repeat((np.cumsum(size) - size)[:-1], size[1:])
+    target = np.arange(size[0], n)
     return TaskGraph.from_arrays(
         [f"T{i + 1}" for i in range(n)], works,
-        np.concatenate(src) if src else [], np.concatenate(dst) if dst else [],
-        name=name)
+        np.concatenate((prev + forced, prev[rows] + cols)),
+        np.concatenate((target, target[rows])), name=name)
 
 
 def erdos_dag(n: int, *, seed: RngLike = None, edge_probability: float = 0.15,
@@ -347,8 +356,7 @@ def erdos_dag(n: int, *, seed: RngLike = None, edge_probability: float = 0.15,
     if not (0.0 <= edge_probability <= 1.0):
         raise InvalidGraphError("edge_probability must be in [0, 1]")
     rng = make_rng(seed)
-    sampler = work_sampler or uniform_works()
-    works = [sampler(rng) for _ in range(n)]
+    works = _sample_works(rng, n, work_sampler)
     perm = rng.permutation(n)
     # pair (a, b), a < b, takes draw row_start[a] + b - a - 1: the pairs in
     # row-major order, as one draw per pair would take them

@@ -29,7 +29,7 @@ fork/join, and every in/out-tree is SP-decomposable in this sense; wavefront
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,18 +88,16 @@ class SPParallel(SPNode):
     children: list[SPNode] = field(default_factory=list)
 
 
-def _weak_components(graph: TaskGraph, nodes: list[str]) -> list[list[str]]:
+def _weak_components(nodes: list[str], index_of: Mapping[str, int],
+                     names: Sequence[str],
+                     neighbours: list[list[int]]) -> list[list[str]]:
     """Weakly connected components of the sub-poset induced by ``nodes``.
 
-    Runs on the graph's CSR index (integer neighbour lists) so that
-    repeated calls from the decomposition loop do not re-sort adjacency
-    sets; the output keeps the historical order (components in first-seen
-    order, members sorted by name).
+    ``neighbours`` lists each task's successors and predecessors by
+    integer id; :func:`sp_decompose` builds it once for every call.  The
+    output keeps the historical order (components in first-seen order,
+    members sorted by name).
     """
-    idx = graph.index()
-    index_of, names = idx.index_of, idx.names
-    pred_ptr, pred_idx = idx.pred_ptr.tolist(), idx.pred_idx.tolist()
-    succ_ptr, succ_idx = idx.succ_ptr.tolist(), idx.succ_idx.tolist()
     node_ids = [index_of[u] for u in nodes]
     in_set = set(node_ids)
     seen: set[int] = set()
@@ -113,9 +111,7 @@ def _weak_components(graph: TaskGraph, nodes: list[str]) -> list[list[str]]:
         while stack:
             u = stack.pop()
             comp.append(u)
-            neighbours = (succ_idx[succ_ptr[u]:succ_ptr[u + 1]]
-                          + pred_idx[pred_ptr[u]:pred_ptr[u + 1]])
-            for v in neighbours:
+            for v in neighbours[u]:
                 if v in in_set and v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -205,9 +201,14 @@ def sp_decompose(graph: TaskGraph) -> SPNode:
         raise InvalidGraphError("cannot decompose an empty graph")
     closure = descendant_bitsets(graph)
     idx = graph.index()
-    index_of = idx.index_of
+    index_of, names = idx.index_of, idx.names
     works = idx.works.tolist()
     n_words = closure.shape[1]
+    succ_ptr, succ_idx = idx.succ_ptr.tolist(), idx.succ_idx.tolist()
+    pred_ptr, pred_idx = idx.pred_ptr.tolist(), idx.pred_idx.tolist()
+    neighbours = [succ_idx[succ_ptr[u]:succ_ptr[u + 1]]
+                  + pred_idx[pred_ptr[u]:pred_ptr[u + 1]]
+                  for u in range(idx.n_tasks)]
 
     root_holder: list[SPNode | None] = [None]
     # each entry: (nodes, container list, slot to fill)
@@ -218,7 +219,7 @@ def sp_decompose(graph: TaskGraph) -> SPNode:
             name = nodes[0]
             container[slot] = SPLeaf(task=name, work=works[index_of[name]])
             continue
-        components = _weak_components(graph, nodes)
+        components = _weak_components(nodes, index_of, names, neighbours)
         if len(components) > 1:
             parent: SPNode = SPParallel(children=[None] * len(components))  # type: ignore[list-item]
             groups = components

@@ -209,6 +209,22 @@ class TestSeriesParallelAndTree:
         load = tree_equivalent_load(g, "T0")
         assert load == pytest.approx(equivalent_load(g))
 
+    def test_tree_equivalent_load_checks_direction(self):
+        g = generators.random_tree(30, seed=4, direction="in")
+        root = g.sinks()[0]
+        assert tree_equivalent_load(g, root, direction="in") == pytest.approx(
+            equivalent_load(g))
+        # read as an out-tree, the sink has no children: its own work
+        with pytest.raises(InvalidGraphError, match="not an out-tree"):
+            tree_equivalent_load(g, root, direction="out")
+        with pytest.raises(InvalidGraphError, match="direction"):
+            tree_equivalent_load(g, root, direction="up")
+        with pytest.raises(InvalidGraphError, match="not an out-tree"):
+            tree_equivalent_load(generators.fork_join(3, seed=1), "T0")
+        chain = generators.chain(6, seed=2)
+        assert tree_equivalent_load(chain, chain.sources()[0]) == pytest.approx(
+            tree_equivalent_load(chain, chain.sinks()[0], direction="in"))
+
     def test_tree_solver_matches_sp_solver(self):
         g = generators.random_tree(20, seed=3)
         p = _problem(g, 2.0)

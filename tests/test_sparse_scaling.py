@@ -30,6 +30,7 @@ from repro.core.power import PowerLaw
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import asap_times, compute_makespan
 from repro.core.validation import check_solution
+from repro.experiments.workloads import WorkloadSpec, make_workload
 from repro.graphs import generators
 from repro.graphs.analysis import longest_path_length
 from repro.solve import solve
@@ -302,6 +303,23 @@ class TestConvexSparse:
         assert solution.metadata["n_constraints"] > 0
         assert solution.metadata["factorization"] == "cholesky"
         assert 0.0 < solution.metadata["fill"] <= 1.0
+
+    def test_iteration_budget_on_large_dag_shapes(self):
+        # large_dag's check-sample shapes: with the duals started at the
+        # objective's scale these take 84 + 103 iterations; with λ = 1/s,
+        # a start gap of the row count, they took 117 + 152
+        total = 0
+        for cls, n in (("layered", 500), ("erdos", 250)):
+            for seed in range(4):
+                problem = make_workload(WorkloadSpec(
+                    graph_class=cls, n_tasks=n, n_processors=0, slack=1.5,
+                    s_max=1.0, seed=seed))
+                solution = solve_general_convex_sparse(problem)
+                assert solution.metadata["converged"], (cls, seed)
+                check_solution(solution)
+                assert kkt_residual(solution) <= KKT_TOLERANCE
+                total += solution.metadata["iterations"]
+        assert total <= 215
 
     def test_registered_backend_and_aliases(self):
         problem = _problem(generators.layered_dag(40, seed=2))
