@@ -1,7 +1,7 @@
-"""Setuptools entry point.
+"""Setuptools entry point, the package's only build configuration.
 
-Kept alongside ``pyproject.toml`` so that editable installs work in offline
-environments whose setuptools/pip lack PEP 660 editable-wheel support
+Editable installs also work in offline environments whose setuptools/pip
+lack PEP 660 editable-wheel support
 (``pip install -e . --no-use-pep517 --no-build-isolation``).
 """
 

@@ -35,8 +35,8 @@ Every vectorizable instance lowers to the combine nodes of
 parallel compositions; S-combine: SP series compositions), each with one
 parent id (-1 at a root), and the core merges all of them into one forest.
 A tree task's parent comes from its one edge towards the root (one scatter
-over the batch's edges); an SP instance brings its
-:func:`~repro.continuous.series_parallel.sp_plan`.  Pointer jumping
+over the batch's edges); an SP instance brings the plan
+:func:`~repro.graphs.sp_decomposition.sp_decompose` returns.  Pointer jumping
 (:func:`~repro.continuous.series_parallel.node_depths`) gives every node
 its depth and finds the parent cycles of a fake tree, and
 :func:`~repro.continuous.series_parallel.fold_and_split` runs Theorem 2's
@@ -64,13 +64,13 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from repro.batch.engine import BatchResult, _WorkItem, _solve_one
-from repro.continuous.series_parallel import (
-    CombinePlan, fold_and_split, node_depths, sp_plan)
+from repro.continuous.series_parallel import fold_and_split, node_depths
 from repro.core.models import ContinuousModel
 from repro.core.power import CUBIC, PowerLaw
 from repro.core.problem import MinEnergyProblem, default_problem_name
 from repro.graphs.io import (
     edge_ids, graph_dict_name, graph_from_dict, task_count)
+from repro.graphs.sp_decomposition import CombinePlan, sp_decompose
 from repro.utils.errors import InvalidGraphError
 from repro.utils.numerics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
@@ -340,13 +340,13 @@ def _solve_vectorized(batch: PackedBatch) -> _Solved:
     is_in &= eligible
     is_tree_inst = is_out | is_in
 
-    # non-tree eligible instances: try the series-parallel lowering
-    # (per-instance Python — SP needs the recursive decomposition anyway);
-    # a non-SP or malformed graph is left to the scalar path
+    # non-tree eligible instances: try the series-parallel lowering (one
+    # sp_decompose call per instance, a Python walk over its graph's
+    # blocks); a non-SP or malformed graph is left to the scalar path
     sp_plans: list[tuple[int, CombinePlan]] = []
     for i in np.flatnonzero(eligible & ~is_tree_inst).tolist():
         try:
-            sp_plans.append((i, sp_plan(batch.problem(i).graph)))
+            sp_plans.append((i, sp_decompose(batch.problem(i).graph)))
         except Exception:
             continue
 

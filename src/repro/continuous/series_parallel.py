@@ -32,8 +32,8 @@ cross edges are implied by the time separation.
 One implementation of the two passes
 ------------------------------------
 Every Theorem-2 solver in the package lowers its instance to a
-:class:`CombinePlan`: *combine nodes*, each with a work amount, a kind and
-the id of its one parent (-1 at a root).
+:class:`~repro.graphs.sp_decomposition.CombinePlan`: *combine nodes*, each
+with a work amount, a kind and the id of its one parent (-1 at a root).
 
 - **P-combine** (``load = work + (sum load_c ** alpha) ** (1/alpha)``):
   tree tasks (Theorem 2's out/in-tree recursion) and SP parallel
@@ -41,15 +41,15 @@ the id of its one parent (-1 at a root).
 - **S-combine** (``load = work + sum load_c``): SP series compositions
   (``work = 0``).
 
-:func:`sp_plan` lowers a decomposition tree, :func:`repro.continuous.tree.tree_plan`
-a tree, and the vector core (:mod:`repro.batch.vectorized`) merges many
-instances' nodes into one forest.  :func:`node_depths` gives every node its
-depth by pointer jumping and :func:`fold_and_split` runs both passes over
-all nodes at once: the nodes are sorted by depth once; bottom-up, each
-level folds its loads into its parents with one ``bincount``; top-down,
-each level gathers its share of its parent's window.  Every task's speed
-is ``load / window``.  No pass recurses or walks decomposition objects, so
-a 10,000-deep chain or caterpillar costs no interpreter stack.
+:func:`~repro.graphs.sp_decomposition.sp_decompose` returns an SP graph's
+plan, :func:`repro.continuous.tree.tree_plan` a tree's, and the vector core
+(:mod:`repro.batch.vectorized`) merges many instances' nodes into one
+forest.  :func:`node_depths` gives every node its depth by pointer jumping
+and :func:`fold_and_split` runs both passes over all nodes at once: the
+nodes are sorted by depth once; bottom-up, each level folds its loads into
+its parents with one ``bincount``; top-down, each level gathers its share
+of its parent's window.  Every task's speed is ``load / window``.  No pass
+recurses, so a 10,000-deep chain or caterpillar costs no interpreter stack.
 
 ``s_max`` handling: Theorem 2 assumes ``s_max = +inf`` for series-parallel
 graphs.  :func:`solve_series_parallel` therefore solves the uncapped
@@ -60,63 +60,15 @@ convex solver, which handles the cap exactly.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
-
 import numpy as np
 
+from repro.core.power import PowerLaw
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import Solution, SpeedAssignment, make_solution
-from repro.graphs.sp_decomposition import SPLeaf, SPParallel, sp_decompose
+from repro.graphs.sp_decomposition import CombinePlan, sp_decompose
 from repro.graphs.taskgraph import TaskGraph
-from repro.utils.errors import NotSeriesParallelError, SolverError
+from repro.utils.errors import SolverError
 from repro.utils.numerics import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
-
-
-class CombinePlan(NamedTuple):
-    """Combine-node arrays of one lowered instance."""
-
-    works: np.ndarray      # per combine node
-    is_p: np.ndarray       # bool: P-combine (alpha-norm) vs S-combine
-    parent: np.ndarray     # id of each node's parent, -1 at the root
-    task_node: np.ndarray  # node id of each task, in task order
-
-
-def sp_plan(graph: TaskGraph) -> CombinePlan:
-    """Flatten ``sp_decompose(graph)`` into combine-node arrays.
-
-    Leaves are P-combine nodes carrying the task work (they have no
-    children, so the kind is irrelevant to the load pass but makes the
-    top-down rule uniform); series/parallel compositions are zero-work
-    S/P-combine nodes.  Raises :class:`NotSeriesParallelError` for non-SP
-    graphs.
-    """
-    root = sp_decompose(graph)
-    index_of = graph.index().index_of
-    works: list[float] = []
-    is_p: list[bool] = []
-    parent: list[int] = [-1]
-    task_node = np.empty(graph.n_tasks, dtype=np.int64)
-
-    # breadth-first walk; ids are queue positions, so node 0 is the combine
-    # root and the children of a node get consecutive ids, in child order
-    queue: list[Any] = [root]
-    for my_id, node in enumerate(queue):
-        if isinstance(node, SPLeaf):
-            works.append(node.work)
-            is_p.append(True)
-            task_node[index_of[node.task]] = my_id
-            continue
-        works.append(0.0)
-        is_p.append(isinstance(node, SPParallel))
-        if not node.children:  # pragma: no cover - decomposition invariant
-            raise NotSeriesParallelError("empty composition in decomposition")
-        queue.extend(node.children)
-        parent.extend([my_id] * len(node.children))
-
-    return CombinePlan(works=np.asarray(works, dtype=np.float64),
-                       is_p=np.asarray(is_p, dtype=bool),
-                       parent=np.asarray(parent, dtype=np.int64),
-                       task_node=task_node)
 
 
 def node_depths(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +193,17 @@ def equivalent_load(graph: TaskGraph, *, alpha: float = 3.0) -> float:
 
     The optimal Continuous energy under deadline ``D`` (without a speed cap)
     is ``equivalent_load(G)**alpha / D**(alpha - 1)``.
+
+    Raises
+    ------
+    InvalidModelError
+        If ``alpha`` is not above 1, as :class:`~repro.core.power.PowerLaw`
+        refuses it.
+    NotSeriesParallelError
+        If the graph is not SP-decomposable.
     """
-    return float(plan_passes(sp_plan(graph), 1.0, alpha)[0][0])
+    PowerLaw(alpha)
+    return float(plan_passes(sp_decompose(graph), 1.0, alpha)[0][0])
 
 
 def solve_series_parallel(problem: MinEnergyProblem) -> Solution:
@@ -262,5 +223,5 @@ def solve_series_parallel(problem: MinEnergyProblem) -> Solution:
         If the model has a finite ``s_max`` that the uncapped optimum
         violates.
     """
-    return solve_plan(problem, sp_plan(problem.graph),
+    return solve_plan(problem, sp_decompose(problem.graph),
                       solver="continuous-series-parallel")

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.continuous.series_parallel import (
-    CombinePlan, plan_passes, solve_plan)
+from repro.continuous.series_parallel import plan_passes, solve_plan
+from repro.core.power import PowerLaw
 from repro.core.problem import MinEnergyProblem
 from repro.core.solution import Solution
+from repro.graphs.sp_decomposition import CombinePlan
 from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError
 
@@ -96,9 +97,14 @@ def tree_equivalent_load(graph: TaskGraph, root: str, *, alpha: float = 3.0,
     Raises
     ------
     InvalidGraphError
-        If ``direction`` is neither ``"out"`` nor ``"in"``, or the graph is
-        not a tree in that direction (a chain is both).
+        If ``direction`` is neither ``"out"`` nor ``"in"``, the graph is
+        not a tree in that direction (a chain is both), or ``root`` is not
+        one of its tasks.
+    InvalidModelError
+        If ``alpha`` is not above 1, as :class:`~repro.core.power.PowerLaw`
+        refuses it.
     """
+    PowerLaw(alpha)
     if direction not in ("out", "in"):
         raise InvalidGraphError(
             f"direction must be 'out' or 'in', got {direction!r}")
@@ -107,6 +113,9 @@ def tree_equivalent_load(graph: TaskGraph, root: str, *, alpha: float = 3.0,
     if _tree_orientation(graph) is None or (parents > 1).any():
         raise InvalidGraphError(
             f"graph {graph.name!r} is not an {direction}-tree")
+    if root not in idx.index_of:
+        raise InvalidGraphError(
+            f"graph {graph.name!r} has no task {root!r}")
     loads, _speeds = plan_passes(tree_plan(graph, direction), 1.0, alpha)
     return float(loads[idx.index_of[root]])
 

@@ -23,10 +23,7 @@ from repro.graphs.analysis import (
     descendants,
 )
 from repro.graphs.sp_decomposition import (
-    SPNode,
-    SPLeaf,
-    SPSeries,
-    SPParallel,
+    CombinePlan,
     is_series_parallel,
     sp_decompose,
 )
@@ -52,10 +49,7 @@ __all__ = [
     "graph_width",
     "ancestors",
     "descendants",
-    "SPNode",
-    "SPLeaf",
-    "SPSeries",
-    "SPParallel",
+    "CombinePlan",
     "is_series_parallel",
     "sp_decompose",
     "generators",

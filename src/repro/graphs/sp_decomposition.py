@@ -2,9 +2,11 @@
 
 Theorem 2 of the paper states that ``MinEnergy(G, D)`` is polynomial for
 trees and series-parallel graphs under the Continuous model.  The algorithm
-(see :mod:`repro.continuous.series_parallel`) works on a *decomposition
-tree* whose leaves are tasks and whose internal nodes are series or parallel
-compositions.  This module builds that tree.
+(see :mod:`repro.continuous.series_parallel`) folds equivalent loads over a
+*decomposition tree* whose leaves are tasks and whose internal nodes are
+series or parallel compositions.  :func:`sp_decompose` writes that tree as a
+:class:`CombinePlan`, one parent id per node, which is the form Theorem 2's
+passes read.
 
 Definition used here (task/vertex series-parallel, "SP-decomposable"):
 
@@ -28,8 +30,8 @@ fork/join, and every in/out-tree is SP-decomposable in this sense; wavefront
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,92 +39,58 @@ from repro.graphs.analysis import descendant_bitsets
 from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError, NotSeriesParallelError
 
-__all__ = ["NotSeriesParallelError", "SPNode", "SPLeaf", "SPSeries",
-           "SPParallel", "is_series_parallel", "sp_decompose"]
+__all__ = ["CombinePlan", "NotSeriesParallelError", "is_series_parallel",
+           "sp_decompose"]
 
 
-@dataclass
-class SPNode:
-    """Base class of decomposition-tree nodes."""
+class CombinePlan(NamedTuple):
+    """Combine-node arrays of one lowered instance.
 
-    def leaves(self) -> list[str]:
-        """Names of the tasks below this node (in deterministic order).
-
-        Iterative pre-order walk — decomposition trees of deep caterpillar
-        graphs can nest O(n) levels, which must not overflow the stack.
-        """
-        out: list[str] = []
-        stack: list[SPNode] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, SPLeaf):
-                out.append(node.task)
-            else:
-                stack.extend(reversed(node.children))  # type: ignore[union-attr]
-        return out
-
-    def size(self) -> int:
-        """Number of task leaves below this node."""
-        return len(self.leaves())
-
-
-@dataclass
-class SPLeaf(SPNode):
-    """A single task."""
-
-    task: str
-    work: float
-
-
-@dataclass
-class SPSeries(SPNode):
-    """A series composition: children execute strictly one after another."""
-
-    children: list[SPNode] = field(default_factory=list)
-
-
-@dataclass
-class SPParallel(SPNode):
-    """A parallel composition: children execute independently within the same window."""
-
-    children: list[SPNode] = field(default_factory=list)
-
-
-def _weak_components(nodes: list[str], index_of: Mapping[str, int],
-                     names: Sequence[str],
-                     neighbours: list[list[int]]) -> list[list[str]]:
-    """Weakly connected components of the sub-poset induced by ``nodes``.
-
-    ``neighbours`` lists each task's successors and predecessors by
-    integer id; :func:`sp_decompose` builds it once for every call.  The
-    output keeps the historical order (components in first-seen order,
-    members sorted by name).
+    A node is a *P-combine* (its load is its work plus the ``alpha``-norm
+    of its children's loads) or an *S-combine* (its work plus their sum).
+    In a decomposition, a task is a childless P-combine node carrying its
+    work and a composition is a zero-work node of its kind.
     """
-    node_ids = [index_of[u] for u in nodes]
-    in_set = set(node_ids)
-    seen: set[int] = set()
-    components: list[list[str]] = []
-    for start in node_ids:
-        if start in seen:
+
+    works: np.ndarray      # per combine node
+    is_p: np.ndarray       # bool: P-combine (alpha-norm) vs S-combine
+    parent: np.ndarray     # id of each node's parent, -1 at the root
+    task_node: np.ndarray  # node id of each task, in task order
+
+
+def _weak_components(block: list[int], rank: list[int],
+                     neighbours: list[list[int]]) -> list[list[int]]:
+    """Weakly connected components of the sub-poset induced by ``block``.
+
+    ``neighbours`` lists each task's successors and predecessors and
+    ``rank`` each task's position in name order; :func:`sp_decompose`
+    builds both once per call.  Components come in first-seen order over
+    ``block``, their members in name order.
+    """
+    unseen = set(block)
+    components: list[list[int]] = []
+    for start in block:
+        if start not in unseen:
             continue
+        unseen.remove(start)
         comp: list[int] = []
         stack = [start]
-        seen.add(start)
         while stack:
             u = stack.pop()
             comp.append(u)
             for v in neighbours[u]:
-                if v in in_set and v not in seen:
-                    seen.add(v)
+                if v in unseen:
+                    unseen.remove(v)
                     stack.append(v)
-        components.append(sorted(names[i] for i in comp))
+        comp.sort(key=rank.__getitem__)
+        components.append(comp)
     return components
 
 
-def _series_blocks(
-    nodes: list[str], closure: np.ndarray, index_of, n_words: int
-) -> list[list[str]] | None:
-    """Split ``nodes`` into the finest chain of series blocks, or ``None``.
+def _series_blocks(block: list[int], closure: np.ndarray, rank: np.ndarray
+                   ) -> list[list[int]] | None:
+    """Split ``block`` (two or more tasks) into the finest chain of series
+    blocks, or ``None``.
 
     A valid boundary after position ``k`` (in an order sorted by descendant
     count within the block) requires every task of the prefix to transitively
@@ -132,112 +100,109 @@ def _series_blocks(
 
     ``closure`` is the packed-bitset transitive closure from
     :func:`repro.graphs.analysis.descendant_bitsets`: the prefix test is a
-    running word-wise AND of the prefix rows against the mask of remaining
-    nodes, so each candidate boundary costs O(n / 64) instead of comparing
-    Python sets.
+    running word-wise AND of the prefix rows against the mask of the block,
+    so each candidate boundary costs O(n / 64) instead of comparing Python
+    sets.
     """
-    n = len(nodes)
-    if n < 2:
-        return None
-    rows_unsorted = closure[[index_of[u] for u in nodes]]
-    word = np.right_shift([index_of[u] for u in nodes], 6)
-    bit = np.uint64(1) << (np.array([index_of[u] for u in nodes],
-                                    dtype=np.uint64) & np.uint64(63))
-    block_mask = np.zeros(n_words, dtype=np.uint64)
-    np.bitwise_or.at(block_mask, word, bit)
-    # descendant counts restricted to this block, batched in one call
-    desc_in = np.bitwise_count(rows_unsorted & block_mask).sum(axis=1)
-    # Sort so that potential "earlier" tasks (more in-block descendants) come
-    # first; ties broken by name for determinism.
-    perm = sorted(range(n), key=lambda i: (-int(desc_in[i]), nodes[i]))
-    ordered = [nodes[i] for i in perm]
+    n = len(block)
+    ids = np.asarray(block, dtype=np.int64)
+    mask = np.zeros(closure.shape[1], dtype=np.uint64)
+    np.bitwise_or.at(mask, ids >> 6,
+                     np.uint64(1) << (ids.astype(np.uint64) & np.uint64(63)))
+    # Potential "earlier" tasks (more in-block descendants) come first;
+    # ties go by name for determinism.
+    desc_in = np.bitwise_count(closure[ids] & mask).sum(axis=1, dtype=np.int64)
+    ids = ids[np.lexsort((rank[ids], -desc_in))]
     # A boundary after position j is valid iff every task of positions
     # 0..j transitively precedes every task of positions j+1.. — i.e. the
     # cumulative prefix AND of the descendant rows contains all remaining
-    # nodes.  (Checking the cumulative prefix instead of only the nodes
+    # tasks.  (Checking the cumulative prefix instead of only the tasks
     # since the previous boundary is equivalent: each earlier block passed
-    # the same test against a superset of the remaining nodes.)  Since no
-    # node is its own strict descendant, the prefix AND restricted to the
-    # block never contains prefix nodes, so containment reduces to a
+    # the same test against a superset of the remaining tasks.)  Since no
+    # task is its own strict descendant, the prefix AND restricted to the
+    # block never contains prefix tasks, so containment reduces to a
     # popcount: exactly ``n - 1 - j`` in-block bits must survive.
-    rows_sorted = rows_unsorted[perm]
-    prefix_and = np.bitwise_and.accumulate(rows_sorted, axis=0)
-    in_block = np.bitwise_count(prefix_and & block_mask).sum(axis=1)
-    valid = in_block[:-1] == np.arange(n - 1, 0, -1)
-    blocks: list[list[str]] = []
-    start = 0
-    for j in range(n - 1):
-        if valid[j]:
-            blocks.append(ordered[start:j + 1])
-            start = j + 1
-    blocks.append(ordered[start:])
-    if len(blocks) < 2:
+    prefix_and = np.bitwise_and.accumulate(closure[ids], axis=0)
+    prefix_and &= mask
+    in_block = np.bitwise_count(prefix_and).sum(axis=1, dtype=np.int64)
+    cuts = np.flatnonzero(in_block[:-1] == np.arange(n - 1, 0, -1)) + 1
+    if not cuts.size:
         return None
-    return blocks
+    ordered = ids.tolist()
+    bounds = [0, *cuts.tolist(), n]
+    return [ordered[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def sp_decompose(graph: TaskGraph) -> SPNode:
-    """Decompose ``graph`` into a series-parallel tree.
+def sp_decompose(graph: TaskGraph) -> CombinePlan:
+    """Decompose ``graph`` into its finest series-parallel plan.
 
-    The decomposition is iterative (an explicit work stack instead of
-    recursion) and queries the transitive closure through packed bitsets, so
-    deep chains and caterpillar graphs neither overflow the interpreter
-    stack nor materialise quadratic Python sets.
-
-    Returns
-    -------
-    SPNode
-        The root of the decomposition tree.
+    The walk visits blocks of task ids breadth-first, starting from all
+    tasks in task order, and a block's visit number is its node id.  A
+    single task is a leaf.  Any other block splits into its weak
+    components (a P-combine) or, when it is connected, into its series
+    blocks (an S-combine); its groups queue as its children, so node 0 is
+    the root and every node's children have consecutive ids.  Nothing
+    recurses and the closure is queried through packed bitsets, so deep
+    chains and caterpillar graphs neither overflow the interpreter stack
+    nor materialise quadratic Python sets.
 
     Raises
     ------
     NotSeriesParallelError
         If the graph is not SP-decomposable.
     InvalidGraphError
-        If the graph is not a DAG.
+        If the graph is empty or not a DAG.
     """
     graph.validate()
     if graph.n_tasks == 0:
         raise InvalidGraphError("cannot decompose an empty graph")
     closure = descendant_bitsets(graph)
     idx = graph.index()
-    index_of, names = idx.index_of, idx.names
-    works = idx.works.tolist()
-    n_words = closure.shape[1]
+    n = idx.n_tasks
+    task_works = idx.works.tolist()
     succ_ptr, succ_idx = idx.succ_ptr.tolist(), idx.succ_idx.tolist()
     pred_ptr, pred_idx = idx.pred_ptr.tolist(), idx.pred_idx.tolist()
     neighbours = [succ_idx[succ_ptr[u]:succ_ptr[u + 1]]
                   + pred_idx[pred_ptr[u]:pred_ptr[u + 1]]
-                  for u in range(idx.n_tasks)]
+                  for u in range(n)]
+    # each task's position in name order: both splits break ties by it
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=idx.names.__getitem__)] = np.arange(n)
+    rank_list = rank.tolist()
 
-    root_holder: list[SPNode | None] = [None]
-    # each entry: (nodes, container list, slot to fill)
-    stack: list[tuple[list[str], list, int]] = [(list(idx.names), root_holder, 0)]
-    while stack:
-        nodes, container, slot = stack.pop()
-        if len(nodes) == 1:
-            name = nodes[0]
-            container[slot] = SPLeaf(task=name, work=works[index_of[name]])
+    works: list[float] = []
+    is_p: list[bool] = []
+    parent: list[int] = [-1]
+    task_node = np.empty(n, dtype=np.int64)
+    pending = deque([list(range(n))])
+    while pending:
+        block = pending.popleft()
+        node = len(works)
+        if len(block) == 1:
+            works.append(task_works[block[0]])
+            is_p.append(True)
+            task_node[block[0]] = node
             continue
-        components = _weak_components(nodes, index_of, names, neighbours)
-        if len(components) > 1:
-            parent: SPNode = SPParallel(children=[None] * len(components))  # type: ignore[list-item]
-            groups = components
-        else:
-            blocks = _series_blocks(nodes, closure, index_of, n_words)
-            if blocks is None:
+        groups = _weak_components(block, rank_list, neighbours)
+        parallel = len(groups) > 1
+        if not parallel:
+            series = _series_blocks(block, closure, rank)
+            if series is None:
+                shown = sorted(idx.names[u] for u in block)
                 raise NotSeriesParallelError(
                     f"graph {graph.name!r} is not series-parallel: block "
-                    f"{sorted(nodes)[:6]}{'...' if len(nodes) > 6 else ''} is "
+                    f"{shown[:6]}{'...' if len(shown) > 6 else ''} is "
                     "connected but admits no series cut"
                 )
-            parent = SPSeries(children=[None] * len(blocks))  # type: ignore[list-item]
-            groups = blocks
-        container[slot] = parent
-        for i, group in enumerate(groups):
-            stack.append((group, parent.children, i))  # type: ignore[union-attr]
-    assert root_holder[0] is not None
-    return root_holder[0]
+            groups = series
+        works.append(0.0)
+        is_p.append(parallel)
+        pending.extend(groups)
+        parent.extend([node] * len(groups))
+    return CombinePlan(works=np.asarray(works, dtype=np.float64),
+                       is_p=np.asarray(is_p, dtype=bool),
+                       parent=np.asarray(parent, dtype=np.int64),
+                       task_node=task_node)
 
 
 def is_series_parallel(graph: TaskGraph) -> bool:
@@ -247,28 +212,3 @@ def is_series_parallel(graph: TaskGraph) -> bool:
     except NotSeriesParallelError:
         return False
     return True
-
-
-def sp_tree_depth(node: SPNode) -> int:
-    """Depth of a decomposition tree (a leaf has depth 1)."""
-    best = 0
-    stack: list[tuple[SPNode, int]] = [(node, 1)]
-    while stack:
-        current, depth = stack.pop()
-        if isinstance(current, SPLeaf):
-            best = max(best, depth)
-        else:
-            for child in current.children:  # type: ignore[union-attr]
-                stack.append((child, depth + 1))
-    return best
-
-
-def iter_leaves(node: SPNode) -> Iterable[SPLeaf]:
-    """Iterate over the task leaves of a decomposition tree (pre-order)."""
-    stack: list[SPNode] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, SPLeaf):
-            yield current
-        else:
-            stack.extend(reversed(current.children))  # type: ignore[union-attr]

@@ -225,6 +225,21 @@ class TestSeriesParallelAndTree:
         assert tree_equivalent_load(chain, chain.sources()[0]) == pytest.approx(
             tree_equivalent_load(chain, chain.sinks()[0], direction="in"))
 
+    def test_tree_equivalent_load_refuses_an_unknown_root(self):
+        g = generators.random_tree(10, seed=0)
+        with pytest.raises(InvalidGraphError, match="no task 'nope'"):
+            tree_equivalent_load(g, "nope")
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, -2.0, math.nan])
+    def test_equivalent_loads_refuse_the_alphas_power_law_refuses(self, alpha):
+        with pytest.raises(InvalidModelError):
+            PowerLaw(alpha)
+        g = generators.fork(3, source_work=2.0, works=[1.0, 2.0, 3.0])
+        with pytest.raises(InvalidModelError, match="alpha must be > 1"):
+            equivalent_load(g, alpha=alpha)
+        with pytest.raises(InvalidModelError, match="alpha must be > 1"):
+            tree_equivalent_load(g, "T0", alpha=alpha)
+
     def test_tree_solver_matches_sp_solver(self):
         g = generators.random_tree(20, seed=3)
         p = _problem(g, 2.0)

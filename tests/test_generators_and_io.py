@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.continuous.series_parallel import node_depths
 from repro.graphs import (
     generators,
     graph_from_dict,
@@ -14,11 +16,8 @@ from repro.graphs import (
     graph_to_json,
     is_series_parallel,
     sp_decompose,
-    SPLeaf,
-    SPParallel,
-    SPSeries,
 )
-from repro.graphs.sp_decomposition import NotSeriesParallelError, iter_leaves, sp_tree_depth
+from repro.graphs.sp_decomposition import NotSeriesParallelError
 from repro.graphs.taskgraph import TaskGraph
 from repro.utils.errors import InvalidGraphError
 
@@ -121,8 +120,6 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 97])
     def test_batched_draws_match_one_draw_per_edge(self, n):
-        import numpy as np
-
         # the generators before their draws were batched: any change to
         # the random stream would change every seeded instance
         def layered(n, seed, p):
@@ -168,8 +165,6 @@ class TestGenerators:
         # the generators as they were built task by task: one draw per
         # work and per structural choice, in this order, through
         # add_task/add_edge; the array route must reproduce every stream
-        import numpy as np
-
         from repro.utils.rng import make_rng
 
         def custom(rng):
@@ -372,31 +367,46 @@ class TestGenerators:
         assert all(t.work > 0 for t in g.tasks())
 
 
+def _independent(n, seed=0):
+    return TaskGraph(tasks=[(f"T{i}", 1.0 + (seed + i) % 5) for i in range(n)])
+
+
+def _children(plan, node):
+    return np.flatnonzero(plan.parent == node).tolist()
+
+
 class TestSPDecomposition:
     def test_single_task_is_leaf(self):
         g = TaskGraph(tasks=[("A", 2.0)])
-        node = sp_decompose(g)
-        assert isinstance(node, SPLeaf)
-        assert node.work == 2.0
+        plan = sp_decompose(g)
+        assert plan.parent.tolist() == [-1]
+        assert plan.works.tolist() == [2.0]
+        assert plan.task_node.tolist() == [0]
 
     def test_chain_is_series(self):
         g = generators.chain(4, works=[1.0] * 4)
-        node = sp_decompose(g)
-        assert isinstance(node, SPSeries)
-        assert sorted(node.leaves()) == ["T1", "T2", "T3", "T4"]
+        plan = sp_decompose(g)
+        assert not plan.is_p[0]
+        assert _children(plan, 0) == plan.task_node.tolist()
+        assert g.index().names == ("T1", "T2", "T3", "T4")
 
     def test_independent_tasks_are_parallel(self):
         g = TaskGraph(tasks=[("A", 1.0), ("B", 1.0), ("C", 1.0)])
-        node = sp_decompose(g)
-        assert isinstance(node, SPParallel)
-        assert len(node.children) == 3
+        plan = sp_decompose(g)
+        assert plan.is_p[0]
+        assert _children(plan, 0) == [1, 2, 3]
+        assert plan.task_node.tolist() == [1, 2, 3]
 
     def test_fork_decomposition(self):
+        # S(leaf T0, P(T1, T2, T3)), breadth-first
         g = generators.fork(3, source_work=1.0, works=[1.0, 2.0, 3.0])
-        node = sp_decompose(g)
-        assert isinstance(node, SPSeries)
-        assert isinstance(node.children[0], SPLeaf)
-        assert isinstance(node.children[1], SPParallel)
+        plan = sp_decompose(g)
+        assert plan.works.tolist() == [0.0, 1.0, 0.0, 1.0, 2.0, 3.0]
+        assert plan.is_p.tolist() == [False, True, True, True, True, True]
+        assert plan.parent.tolist() == [-1, 0, 0, 2, 2, 2]
+        assert plan.task_node.tolist() == [1, 3, 4, 5]
+        assert [a.dtype for a in plan] == [np.float64, np.bool_, np.int64,
+                                           np.int64]
 
     def test_tree_is_sp_decomposable(self):
         g = generators.random_tree(25, seed=1)
@@ -414,16 +424,19 @@ class TestSPDecomposition:
 
     def test_leaves_cover_all_tasks(self):
         g = generators.random_series_parallel(30, seed=4)
-        node = sp_decompose(g)
-        assert sorted(node.leaves()) == sorted(g.task_names())
-        assert node.size() == 30
+        plan = sp_decompose(g)
+        leaves = np.setdiff1d(np.arange(plan.parent.shape[0]), plan.parent)
+        assert sorted(plan.task_node.tolist()) == leaves.tolist()
+        assert leaves.shape[0] == 30
+        assert np.array_equal(plan.works[plan.task_node], g.index().works)
 
     def test_iter_leaves_and_depth(self):
         g = generators.random_series_parallel(12, seed=5)
-        node = sp_decompose(g)
-        leaves = list(iter_leaves(node))
-        assert len(leaves) == 12
-        assert sp_tree_depth(node) >= 2
+        plan = sp_decompose(g)
+        assert np.unique(plan.task_node).shape[0] == 12
+        depth, stuck = node_depths(plan.parent)
+        assert not stuck.any()
+        assert depth.max() + 1 >= 2
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidGraphError):
@@ -433,14 +446,49 @@ class TestSPDecomposition:
     @settings(max_examples=25, deadline=None)
     def test_generator_sp_graphs_always_decompose(self, n, seed):
         g = generators.random_series_parallel(n, seed=seed)
-        node = sp_decompose(g)
-        assert sorted(node.leaves()) == sorted(g.task_names())
+        plan = sp_decompose(g)
+        leaves = np.setdiff1d(np.arange(plan.parent.shape[0]), plan.parent)
+        assert sorted(plan.task_node.tolist()) == leaves.tolist()
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
     def test_trees_always_decompose(self, n, seed):
         g = generators.random_tree(n, seed=seed)
         assert is_series_parallel(g)
+
+    @given(st.sampled_from(["sp", "out-tree", "in-tree", "fork_join",
+                            "independent"]),
+           st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_is_the_finest_decomposition(self, kind, n, seed):
+        g = {"sp": lambda: generators.random_series_parallel(n, seed=seed),
+             "out-tree": lambda: generators.random_tree(n, seed=seed),
+             "in-tree": lambda: generators.random_tree(n, seed=seed,
+                                                       direction="in"),
+             "fork_join": lambda: generators.fork_join(n, seed=seed),
+             "independent": lambda: _independent(n, seed)}[kind]()
+        plan = sp_decompose(g)
+        size = plan.parent.shape[0]
+        # node 0 is the only root, and each node's children are consecutive
+        assert plan.parent[0] == -1 and (plan.parent[1:] >= 0).all()
+        for node in np.unique(plan.parent[1:]).tolist():
+            kids = _children(plan, node)
+            assert kids == list(range(kids[0], kids[0] + len(kids)))
+        # the tasks map one-to-one onto the childless nodes, with their work
+        n_kids = np.bincount(plan.parent[1:], minlength=size)
+        assert sorted(plan.task_node.tolist()) == np.flatnonzero(
+            n_kids == 0).tolist()
+        assert np.array_equal(plan.works[plan.task_node], g.index().works)
+        # a composition joins at least two children and carries no work
+        comp = n_kids > 0
+        assert (n_kids[comp] >= 2).all() and (plan.works[comp] == 0.0).all()
+        assert size <= 2 * g.n_tasks - 1
+        # no composition has a child of its own kind
+        child = np.arange(1, size)
+        nested = comp[child]
+        assert (plan.is_p[child[nested]]
+                != plan.is_p[plan.parent[child[nested]]]).all()
 
 
 class TestSerialisation:
